@@ -25,6 +25,7 @@
 #include "core/cluster.h"
 #include "core/engine.h"
 #include "core/sparse_kv.h"
+#include "core/verify.h"
 #include "runner/sweep.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -223,6 +224,87 @@ Result bench_bitmap_scan(const char* name, std::size_t stride, double sparsity,
   return res;
 }
 
+// --- result check: the verify pass of a verified allreduce ------------------
+
+/// Eight 2^20-element worker inputs at 0.5 block sparsity and, as results,
+/// their sum in reverse worker order, so the check sees reassociation noise
+/// like a real run's. A codec Config makes the reference pass also take
+/// the input magnitude.
+struct CheckCase {
+  std::vector<omr::tensor::DenseTensor> inputs;
+  std::vector<omr::tensor::DenseTensor> results;
+  omr::core::Config cfg;
+};
+
+CheckCase make_check_case(bool smoke) {
+  const std::size_t n = smoke ? (1u << 16) : (1u << 20);
+  const std::size_t kWorkers = 8;
+  CheckCase c;
+  omr::sim::Rng rng(42);
+  c.inputs = omr::tensor::make_multi_worker(
+      kWorkers, n, 256, 0.5, omr::tensor::OverlapMode::kRandom, rng);
+  omr::tensor::DenseTensor reversed(n);
+  for (std::size_t w = kWorkers; w-- > 0;) reversed.add_inplace(c.inputs[w]);
+  c.results.assign(kWorkers, reversed);
+  c.cfg.codec.codec = omr::compress::WireCodec::kQ8;
+  return c;
+}
+
+Result check_result(const char* name, const CheckCase& c,
+                    std::vector<double> times) {
+  Result res;
+  res.name = name;
+  res.kind = "micro";
+  res.wall_ms = median(std::move(times));
+  res.work_units =
+      static_cast<double>(c.inputs.size() * c.inputs.front().size());
+  res.unit = "elements";
+  return res;
+}
+
+Result bench_verify_reference(bool smoke, int repeats) {
+  const CheckCase c = make_check_case(smoke);
+  std::vector<double> times;
+  double sink = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = Clock::now();
+    const omr::core::ResultCheck check(c.inputs, c.cfg);
+    times.push_back(ms_since(t0));
+    sink += check.input_amax();
+  }
+  if (sink == 0.0) std::fprintf(stderr, "unexpected all-zero input\n");
+  return check_result("verify_reference", c, std::move(times));
+}
+
+Result bench_verify_check(bool smoke, int repeats) {
+  const CheckCase c = make_check_case(smoke);
+  const omr::core::ResultCheck check(c.inputs, c.cfg);
+  std::vector<double> times;
+  double sink = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = Clock::now();
+    sink += check.max_error(c.results);
+    times.push_back(ms_since(t0));
+  }
+  if (sink > 1e-3) std::fprintf(stderr, "unexpected result error\n");
+  return check_result("verify_check", c, std::move(times));
+}
+
+Result bench_bitmap_build_workers(bool smoke, int repeats) {
+  const CheckCase c = make_check_case(smoke);
+  std::vector<double> times;
+  std::size_t sink = 0;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = Clock::now();
+    for (const auto& t : c.inputs) {
+      sink += omr::tensor::BlockBitmap(t.span(), 256).nonzero_count();
+    }
+    times.push_back(ms_since(t0));
+  }
+  if (sink == 0) std::fprintf(stderr, "unexpected all-zero input\n");
+  return check_result("bitmap_build_8x1m", c, std::move(times));
+}
+
 // --- sparse KV allreduce (Algorithm 3 accumulator) -------------------------
 
 omr::tensor::CooTensor make_coo(std::size_t dim, std::size_t nnz,
@@ -272,7 +354,8 @@ Result bench_kv_allreduce(bool smoke, int repeats) {
 // --- fig04-style dense-engine allreduce ------------------------------------
 
 Result bench_e2e_allreduce(const char* name, omr::core::Transport transport,
-                           double loss_rate, bool smoke, int repeats) {
+                           double loss_rate, bool smoke, int repeats,
+                           bool verify = false) {
   const std::size_t n = smoke ? (1u << 18) : (1u << 21);
   const std::size_t kWorkers = 8;
   const auto cfg = omr::core::Config::for_transport(transport);
@@ -288,7 +371,7 @@ Result bench_e2e_allreduce(const char* name, omr::core::Transport transport,
         kWorkers, n, cfg.block_size, 0.9, omr::tensor::OverlapMode::kRandom,
         rng);
     const auto t0 = Clock::now();
-    stats = omr::core::run_allreduce(tensors, cfg, cluster, /*verify=*/false);
+    stats = omr::core::run_allreduce(tensors, cfg, cluster, verify);
     times.push_back(ms_since(t0));
   }
   Result res;
@@ -384,11 +467,20 @@ int main(int argc, char** argv) {
        [](bool s, int r) {
          return bench_bitmap_scan("bitmap_scan_stride16", 16, 0.99, s, r);
        }},
+      {"verify_reference", bench_verify_reference},
+      {"verify_check", bench_verify_check},
+      {"bitmap_build_8x1m", bench_bitmap_build_workers},
       {"kv_allreduce", bench_kv_allreduce},
       {"e2e_rdma_s90",
        [](bool s, int r) {
          return bench_e2e_allreduce("e2e_rdma_s90",
                                     omr::core::Transport::kRdma, 0.0, s, r);
+       }},
+      {"e2e_rdma_s90_verified",
+       [](bool s, int r) {
+         return bench_e2e_allreduce("e2e_rdma_s90_verified",
+                                    omr::core::Transport::kRdma, 0.0, s, r,
+                                    /*verify=*/true);
        }},
       {"e2e_dpdk_lossy",
        [](bool s, int r) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "baselines/ring.h"
+#include "core/verify.h"
 #include "net/message.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
@@ -150,8 +151,8 @@ BaselineStats detail::ps_dense_allreduce(
   if (tensors.empty()) throw std::invalid_argument("no workers");
   if (n_servers == 0) throw std::invalid_argument("need a server");
   const std::size_t n = tensors.size();
-  tensor::DenseTensor reference;
-  if (verify) reference = tensor::reference_sum(tensors);
+  core::ResultCheck check;  // a default Config: the plain sum
+  if (verify) check = core::ResultCheck(tensors, core::Config{});
 
   sim::Simulator simulator;
   net::Network network(simulator, cfg.one_way_latency, cfg.seed);
@@ -194,10 +195,7 @@ BaselineStats detail::ps_dense_allreduce(
     stats.total_tx_bytes += network.nic_stats(nic).tx_bytes;
   }
   if (verify) {
-    double err = 0.0;
-    for (const auto& t : tensors) {
-      err = std::max(err, tensor::max_abs_diff(t, reference));
-    }
+    const double err = check.max_error(tensors);
     stats.max_error = err;
     stats.verified = err <= 1e-4 * static_cast<double>(n);
     if (!stats.verified) throw std::logic_error("PS allreduce mismatch");

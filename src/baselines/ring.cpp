@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "core/verify.h"
 #include "net/message.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
@@ -156,8 +157,8 @@ BaselineStats detail::ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
                                      const BaselineConfig& cfg, bool verify) {
   if (tensors.empty()) throw std::invalid_argument("no workers");
   const int n = static_cast<int>(tensors.size());
-  tensor::DenseTensor reference;
-  if (verify) reference = tensor::reference_sum(tensors);
+  core::ResultCheck check;  // a default Config: the plain sum
+  if (verify) check = core::ResultCheck(tensors, core::Config{});
 
   sim::Simulator simulator;
   net::Network network(simulator, cfg.one_way_latency, cfg.seed);
@@ -189,10 +190,7 @@ BaselineStats detail::ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
         network.nic_stats(network.nic_of(eps[static_cast<size_t>(r)])).tx_bytes;
   }
   if (verify) {
-    double err = 0.0;
-    for (const auto& t : tensors) {
-      err = std::max(err, tensor::max_abs_diff(t, reference));
-    }
+    const double err = check.max_error(tensors);
     stats.max_error = err;
     stats.verified = err <= 1e-4 * n;
     if (!stats.verified) throw std::logic_error("ring allreduce mismatch");
@@ -290,8 +288,8 @@ BaselineStats detail::recursive_doubling_allreduce(
   if ((n & (n - 1)) != 0) {
     throw std::invalid_argument("recursive doubling needs power-of-two N");
   }
-  tensor::DenseTensor reference;
-  if (verify) reference = tensor::reference_sum(tensors);
+  core::ResultCheck check;  // a default Config: the plain sum
+  if (verify) check = core::ResultCheck(tensors, core::Config{});
   sim::Simulator simulator;
   net::Network network(simulator, cfg.one_way_latency, cfg.seed);
   std::vector<std::unique_ptr<RdNode>> nodes;
@@ -318,10 +316,7 @@ BaselineStats detail::recursive_doubling_allreduce(
     stats.total_tx_bytes += network.nic_stats(network.nic_of(ep)).tx_bytes;
   }
   if (verify) {
-    double err = 0.0;
-    for (const auto& t : tensors) {
-      err = std::max(err, tensor::max_abs_diff(t, reference));
-    }
+    const double err = check.max_error(tensors);
     stats.max_error = err;
     stats.verified = err <= 1e-4 * n;
     if (!stats.verified) throw std::logic_error("rd allreduce mismatch");

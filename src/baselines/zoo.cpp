@@ -249,11 +249,16 @@ class SketchAlgo final : public CollectiveAlgorithm {
     for (auto& t : tensors) t = r.result;
     return to_run_stats(r.stats, tensors.size());
   }
-  double verify_error(const tensor::DenseTensor& result,
-                      const tensor::DenseTensor& reference) const override {
+  double verify_error(
+      const core::ResultCheck& check,
+      const std::vector<tensor::DenseTensor>& results) const override {
     // The sketch guarantee lives in L2: individual entries keep O(1)
     // collision error at any width, but the L2 distance shrinks with it.
-    return tensor::l2_diff(result, reference);
+    double err = 0.0;
+    for (const auto& r : results) {
+      err = std::max(err, tensor::l2_diff(r, check.reference()));
+    }
+    return err;
   }
   double verify_tolerance(const tensor::DenseTensor& reference,
                           std::size_t) const override {

@@ -171,7 +171,7 @@ void Aggregator::on_message(net::EndpointId from, const net::MessagePtr& msg) {
 
 void Aggregator::fold(SlotData& slot, const DataPacket& p) const {
   // The (op, fixed-point) dispatch happened once at construction; the
-  // per-block call is a direct jump into a vectorized kernel.
+  // per-block call is a direct jump into the selected kernel.
   for (const ColumnBlock& cb : p.columns) {
     assert(cb.data.size() == cfg_.block_size);
     kernel_(slot[cb.column].data(), cb.data.data(), cfg_.block_size,

@@ -1,7 +1,6 @@
 #include "core/algorithm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -16,9 +15,9 @@
 namespace omr::core {
 
 double CollectiveAlgorithm::verify_error(
-    const tensor::DenseTensor& result,
-    const tensor::DenseTensor& reference) const {
-  return tensor::max_abs_diff(result, reference);
+    const ResultCheck& check,
+    const std::vector<tensor::DenseTensor>& results) const {
+  return check.max_error(results);
 }
 
 double CollectiveAlgorithm::verify_tolerance(const tensor::DenseTensor&,
@@ -283,27 +282,16 @@ RunStats run_collective(const std::string& name,
                         bool verify) {
   CollectiveAlgorithm& algo = CollectiveRegistry::global().at(name);
   validate_capabilities(algo.capabilities(), cfg, cluster, name);
-  tensor::DenseTensor reference;
-  if (verify) reference = reference_reduce(tensors, cfg);
-  double input_amax = 0.0;
-  if (verify && cfg.codec.enabled()) {
-    for (const auto& t : tensors) {
-      for (float v : t.values()) {
-        input_amax = std::max(input_amax, std::fabs(static_cast<double>(v)));
-      }
-    }
-  }
+  ResultCheck check;
+  if (verify) check = ResultCheck(tensors, cfg);
   RunStats stats = algo.run(tensors, cfg, cluster);
   if (verify && stats.completed()) {
-    double tol = algo.verify_tolerance(reference, tensors.size());
+    double tol = algo.verify_tolerance(check.reference(), tensors.size());
     if (cfg.codec.enabled()) {
-      tol += compress::codec_verify_slack(cfg.codec.codec, input_amax,
+      tol += compress::codec_verify_slack(cfg.codec.codec, check.input_amax(),
                                           tensors.size());
     }
-    double err = 0.0;
-    for (const auto& t : tensors) {
-      err = std::max(err, algo.verify_error(t, reference));
-    }
+    const double err = algo.verify_error(check, tensors);
     stats.max_error = err;
     stats.verified = err <= tol;
   }

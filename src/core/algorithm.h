@@ -57,15 +57,16 @@ class CollectiveAlgorithm {
   virtual RunStats run(std::vector<tensor::DenseTensor>& tensors,
                        const Config& cfg, const ClusterSpec& cluster) = 0;
 
-  /// Error measure compared against verify_tolerance(): the per-worker
-  /// deviation of `result` from `reference` (run_collective takes the max
-  /// across workers). The default is max-abs, the right metric for exact
+  /// Error measure compared against verify_tolerance(): the largest
+  /// per-worker deviation of `results` from check.reference(). The
+  /// default is the check's fused max-abs pass, the right metric for exact
   /// algorithms; approximate algorithms whose guarantee lives in another
   /// norm override it (the count-sketch reducer measures L2 distance —
   /// its worst single entry stays O(1) at any width, but the L2 error
   /// shrinks linearly with it).
-  virtual double verify_error(const tensor::DenseTensor& result,
-                              const tensor::DenseTensor& reference) const;
+  virtual double verify_error(
+      const ResultCheck& check,
+      const std::vector<tensor::DenseTensor>& results) const;
 
   /// Bound on verify_error() used when verifying this algorithm's result
   /// against reference_reduce. The default covers exact algorithms

@@ -14,43 +14,8 @@
 #include "core/wiring.h"
 #include "net/network.h"
 #include "runner/psim.h"
-#include "tensor/blocks.h"
 
 namespace omr::core {
-
-tensor::DenseTensor reference_reduce(
-    const std::vector<tensor::DenseTensor>& tensors, const Config& cfg) {
-  if (cfg.op == ReduceOp::kSum) return tensor::reference_sum(tensors);
-  const std::size_t n = tensors.front().size();
-  const std::size_t bs = cfg.block_size;
-  tensor::DenseTensor out(n);
-  std::vector<tensor::BlockBitmap> maps;
-  maps.reserve(tensors.size());
-  for (const auto& t : tensors) maps.emplace_back(t.span(), bs);
-  const std::size_t nb = tensor::num_blocks(n, bs);
-  for (std::size_t b = 0; b < nb; ++b) {
-    const std::size_t lo = b * bs;
-    const std::size_t hi = std::min(lo + bs, n);
-    bool first = true;
-    for (std::size_t w = 0; w < tensors.size(); ++w) {
-      if (!cfg.dense_mode &&
-          !maps[w].nonzero(static_cast<tensor::BlockIndex>(b))) {
-        continue;
-      }
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (first) {
-          out[i] = tensors[w][i];
-        } else if (cfg.op == ReduceOp::kMin) {
-          out[i] = std::min(out[i], tensors[w][i]);
-        } else {
-          out[i] = std::max(out[i], tensors[w][i]);
-        }
-      }
-      first = false;
-    }
-  }
-  return out;
-}
 
 namespace {
 
@@ -160,18 +125,9 @@ RunStats run_allreduce_impl(std::vector<tensor::DenseTensor>& tensors,
     }
   }
 
-  tensor::DenseTensor reference;
-  if (verify) reference = reference_reduce(tensors, cfg);
-  // Codec verification slack scales with the inputs' magnitude; capture it
-  // before the run mutates the tensors into the (quantized) result.
-  double input_amax = 0.0;
-  if (verify && cfg.codec.enabled()) {
-    for (const auto& t : tensors) {
-      for (float v : t.values()) {
-        input_amax = std::max(input_amax, std::fabs(static_cast<double>(v)));
-      }
-    }
-  }
+  // Captured before the run mutates the tensors into the result.
+  ResultCheck check;
+  if (verify) check = ResultCheck(tensors, cfg);
 
   Config run_cfg = cfg;
   if (fabric.lossy() || cluster.topology.spine_lossy() ||
@@ -466,17 +422,14 @@ RunStats run_allreduce_impl(std::vector<tensor::DenseTensor>& tensors,
   }
 
   if (verify && !aborted) {
-    double max_err = 0.0;
-    for (const auto& t : tensors) {
-      max_err = std::max(max_err, tensor::max_abs_diff(t, reference));
-    }
+    const double max_err = check.max_error(tensors);
     stats.max_error = max_err;
     // Float sums of <= n_workers addends in a different association order:
     // tolerance grows mildly with worker count and value magnitude.
     double tol = 1e-4 * static_cast<double>(n_workers);
     if (run_cfg.codec.enabled()) {
-      tol += compress::codec_verify_slack(run_cfg.codec.codec, input_amax,
-                                          n_workers);
+      tol += compress::codec_verify_slack(run_cfg.codec.codec,
+                                          check.input_amax(), n_workers);
     }
     stats.verified = max_err <= tol;
     if (!stats.verified) {

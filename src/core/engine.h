@@ -8,6 +8,7 @@
 #include "core/cluster.h"
 #include "core/config.h"
 #include "core/faults.h"
+#include "core/verify.h"
 #include "core/worker.h"
 #include "device/device_model.h"
 #include "telemetry/report.h"
@@ -60,13 +61,6 @@ struct RunStats {
     return s / static_cast<double>(worker_data_bytes.size());
   }
 };
-
-/// Reference reduction matching the engine's sparse semantics: per block
-/// position, fold contributing workers (all workers in dense mode, workers
-/// with a non-zero block otherwise) element-wise with the operator; block
-/// positions nobody contributes stay zero. For kSum this is the plain sum.
-tensor::DenseTensor reference_reduce(
-    const std::vector<tensor::DenseTensor>& tensors, const Config& cfg);
 
 /// Run one OmniReduce AllReduce over a freshly built simulated cluster.
 ///

@@ -49,13 +49,15 @@ HierarchicalStats run_hierarchical_allreduce(
   }
 
   HierarchicalStats stats;
-  tensor::DenseTensor reference;
-  if (verify) {
-    reference = tensor::DenseTensor(n);
-    for (const auto& server : grads) {
-      for (const auto& g : server) reference.add_inplace(g);
-    }
+  // Every GPU's gradient, server-major: the order the reference sums in.
+  std::vector<const tensor::DenseTensor*> gpus;
+  for (const auto& server : grads) {
+    for (const auto& g : server) gpus.push_back(&g);
   }
+  // The hierarchy always sums, so the reference is the plain sum (a
+  // default Config) whatever cfg.op says.
+  ResultCheck check;
+  if (verify) check = ResultCheck(gpus, Config{});
 
   // Layer 1: NVLink ring reduce inside each server (NCCL). Ring AllReduce
   // over G GPUs moves 2(G-1)/G * S bytes per GPU; a reduce (to one GPU)
@@ -153,16 +155,9 @@ HierarchicalStats run_hierarchical_allreduce(
     for (auto& gpu : grads[s]) gpu = server_sums[s];
   }
   if (verify) {
-    double err = 0.0;
-    for (const auto& server : grads) {
-      for (const auto& t : server) {
-        err = std::max(err, tensor::max_abs_diff(t, reference));
-      }
-    }
+    const double err = check.max_error(gpus);
     stats.max_error = err;
-    std::size_t total_gpus = 0;
-    for (const auto& server : grads) total_gpus += server.size();
-    stats.verified = err <= 1e-4 * static_cast<double>(total_gpus);
+    stats.verified = err <= 1e-4 * static_cast<double>(gpus.size());
     if (!stats.verified) {
       throw std::logic_error("hierarchical allreduce mismatch");
     }

@@ -5,22 +5,24 @@
 #include <cstddef>
 
 #include "core/config.h"
+#include "tensor/kernels.h"
 
 namespace omr::core::kernels {
 
 /// Element-wise slot-reduction kernels, one per (operator, arithmetic)
 /// combination. The Aggregator selects a kernel pointer once per
 /// collective, hoisting the ReduceOp/fixed-point dispatch out of the
-/// per-element inner loop; each kernel body is a tight branch-free loop
-/// the compiler auto-vectorizes. Every kernel performs exactly the same
-/// operations in the same order as the dispatching loop it replaced, so
-/// aggregated values are bit-identical.
+/// per-element inner loop. The sum — the fold every exact run takes — is
+/// the SSE2 tensor::kernels::add; the others are tight scalar loops (the
+/// default -O2 build does not auto-vectorize them). Every kernel performs
+/// exactly the same operations in the same order as the dispatching loop
+/// it replaced, so aggregated values are bit-identical.
 using ReduceKernel = void (*)(float* dst, const float* src, std::size_t n,
                               double scale);
 
 inline void reduce_sum(float* dst, const float* src, std::size_t n,
                        double /*scale*/) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
+  tensor::kernels::add(dst, src, n);
 }
 
 inline void reduce_sum_fixed_point(float* dst, const float* src,

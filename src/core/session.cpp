@@ -133,16 +133,8 @@ RunStats Session::run_collective(std::vector<tensor::DenseTensor>& tensors,
   for (const auto& t : tensors) {
     if (t.size() != n) throw std::invalid_argument("tensor size mismatch");
   }
-  tensor::DenseTensor reference;
-  if (verify) reference = reference_reduce(tensors, cfg_);
-  double input_amax = 0.0;
-  if (verify && cfg_.codec.enabled()) {
-    for (const auto& t : tensors) {
-      for (float v : t.values()) {
-        input_amax = std::max(input_amax, std::fabs(static_cast<double>(v)));
-      }
-    }
-  }
+  ResultCheck check;
+  if (verify) check = ResultCheck(tensors, cfg_);
 
   const sim::Time t0 = simulator_->now();
   std::vector<net::NicStats> nic_before;
@@ -214,15 +206,12 @@ RunStats Session::run_collective(std::vector<tensor::DenseTensor>& tensors,
     tracer_->collective_span(t0, simulator_->now(), collectives_run_ - 1);
   }
   if (verify) {
-    double err = 0.0;
-    for (const auto& t : tensors) {
-      err = std::max(err, tensor::max_abs_diff(t, reference));
-    }
+    const double err = check.max_error(tensors);
     stats.max_error = err;
     double tol = 1e-4 * static_cast<double>(n_workers_);
     if (cfg_.codec.enabled()) {
-      tol += compress::codec_verify_slack(cfg_.codec.codec, input_amax,
-                                          n_workers_);
+      tol += compress::codec_verify_slack(cfg_.codec.codec,
+                                          check.input_amax(), n_workers_);
     }
     stats.verified = err <= tol;
     if (!stats.verified) throw std::logic_error("session result mismatch");

@@ -1,7 +1,6 @@
 #include "core/tenancy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iostream>
 #include <mutex>
 #include <set>
@@ -59,6 +58,17 @@ void warn_serial_fallback(const std::string& reason) {
             << reason << "\n";
 }
 
+/// The step tensors of the workers `active` marks, in worker order.
+std::vector<const tensor::DenseTensor*> active_tensors(
+    const std::vector<tensor::DenseTensor>& step,
+    const std::vector<std::uint8_t>& active) {
+  std::vector<const tensor::DenseTensor*> out;
+  for (std::size_t w = 0; w < active.size(); ++w) {
+    if (active[w]) out.push_back(&step[w]);
+  }
+  return out;
+}
+
 std::vector<int> resolve_machine_racks(const TenantFabricSpec& spec) {
   std::vector<int> racks(spec.n_machines, 0);
   if (!spec.machine_racks.empty()) {
@@ -109,8 +119,7 @@ struct Fabric::JobState {
     std::vector<std::uint8_t> active;  // per job worker
     std::size_t active_count = 0;
     std::vector<std::size_t> joiners;  // workers joining before this step
-    tensor::DenseTensor reference;     // expected result (verify only)
-    double input_amax = 0.0;           // codec verification slack input
+    ResultCheck check;                 // expected result (verify only)
   };
 
   JobSpec spec;
@@ -537,20 +546,8 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
     job->slot_demand = std::max(job->slot_demand, plan.layout.streams.size());
 
     if (spec.verify) {
-      std::vector<tensor::DenseTensor> inputs;
-      inputs.reserve(plan.active_count);
-      for (std::size_t w = 0; w < n_workers; ++w) {
-        if (active[w]) inputs.push_back(tensors[s][w]);
-      }
-      plan.reference = reference_reduce(inputs, spec.config);
-      if (spec.config.codec.enabled()) {
-        for (const auto& t : inputs) {
-          for (float v : t.values()) {
-            plan.input_amax = std::max(plan.input_amax,
-                                       std::fabs(static_cast<double>(v)));
-          }
-        }
-      }
+      plan.check = ResultCheck(active_tensors(tensors[s], active),
+                               spec.config);
     }
   }
 
@@ -835,17 +832,12 @@ void Fabric::finish_job(JobState& job) {
                      !cfg.fixed_point;
   for (std::size_t s = 0; s < job.steps.size(); ++s) {
     const JobState::StepPlan& plan = job.steps[s];
-    double max_err = 0.0;
-    for (std::size_t w = 0; w < plan.active.size(); ++w) {
-      if (!plan.active[w]) continue;
-      max_err =
-          std::max(max_err, tensor::max_abs_diff((*job.tensors)[s][w],
-                                                 plan.reference));
-    }
+    const double max_err = plan.check.max_error(
+        active_tensors((*job.tensors)[s], plan.active));
     double tol = exact ? 0.0 : 1e-4 * static_cast<double>(plan.active_count);
     if (cfg.codec.enabled()) {
-      tol += compress::codec_verify_slack(cfg.codec.codec, plan.input_amax,
-                                          plan.active_count);
+      tol += compress::codec_verify_slack(
+          cfg.codec.codec, plan.check.input_amax(), plan.active_count);
     }
     if (max_err > tol) {
       throw std::logic_error("job \"" + job.spec.name + "\" step " +

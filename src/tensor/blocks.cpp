@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <stdexcept>
+
+#include "tensor/kernels.h"
 
 namespace omr::tensor {
 
@@ -12,39 +13,16 @@ std::size_t num_blocks(std::size_t n, std::size_t block_size) {
   return (n + block_size - 1) / block_size;
 }
 
-namespace {
-
-/// Branch-free non-zero test over [lo, hi): ORs the value bits with the
-/// sign bit shifted out, so -0.0f counts as zero (matching `!= 0.0f`) and
-/// any NaN/denormal counts as non-zero. The reduction has no early exit,
-/// which lets the compiler vectorize it — far faster than a scalar
-/// compare-and-break even when a non-zero sits early in the block.
-std::uint32_t or_reduce(const float* p, std::size_t n) {
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t u;
-    std::memcpy(&u, &p[i], sizeof(u));
-    acc |= u << 1;
-  }
-  return acc;
-}
-
-}  // namespace
-
 BlockBitmap::BlockBitmap(std::span<const float> data, std::size_t block_size)
     : block_size_(block_size),
       n_blocks_(num_blocks(data.size(), block_size)) {
   words_.assign((n_blocks_ + 63) / 64, 0);
-  const float* p = data.data();
-  const std::size_t full = data.size() / block_size;
-  for (std::size_t b = 0; b < full; ++b) {
-    if (or_reduce(p + b * block_size, block_size) != 0) {
+  for (std::size_t b = 0; b < n_blocks_; ++b) {
+    const std::size_t lo = b * block_size;
+    if (kernels::any_nonzero(data.data() + lo,
+                             std::min(block_size, data.size() - lo))) {
       words_[b >> 6] |= std::uint64_t{1} << (b & 63);
     }
-  }
-  if (full < n_blocks_ &&
-      or_reduce(p + full * block_size, data.size() - full * block_size) != 0) {
-    words_[full >> 6] |= std::uint64_t{1} << (full & 63);
   }
 }
 

@@ -54,10 +54,22 @@ class DenseTensor {
 
 /// Element-wise sum of `tensors` (serial reference reduction used to verify
 /// every collective implementation). All tensors must have equal size.
+/// Inputs are added in order onto zero, one cache block at a time; with
+/// `input_amax` the same pass also yields max |x| over every input
+/// (NaNs skipped).
+DenseTensor reference_sum(std::span<const DenseTensor* const> tensors,
+                          double* input_amax = nullptr);
 DenseTensor reference_sum(std::span<const DenseTensor> tensors);
 
-/// Max absolute element-wise difference between two tensors.
+/// Max absolute element-wise difference between two tensors, computed in
+/// double. A NaN on exactly one side is an unbounded error (+inf); NaN on
+/// both sides, or the same infinity on both, is a match.
 double max_abs_diff(const DenseTensor& a, const DenseTensor& b);
+
+/// max over `results` of max_abs_diff(result, reference), in one
+/// cache-blocked pass that reads each block of `reference` once.
+double max_abs_diff(std::span<const DenseTensor* const> results,
+                    const DenseTensor& reference);
 
 /// L2 norm of the element-wise difference between two tensors.
 double l2_diff(const DenseTensor& a, const DenseTensor& b);

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
+#include "core/algorithm.h"
 #include "core/collectives.h"
 #include "core/config.h"
 #include "core/engine.h"
+#include "core/reduce_kernels.h"
 #include "core/sparse_kv.h"
 #include "core/stream_layout.h"
 #include "sim/rng.h"
@@ -53,6 +59,88 @@ std::vector<DenseTensor> random_inputs(std::size_t n_workers, std::size_t n,
                                        OverlapMode mode = OverlapMode::kRandom) {
   sim::Rng rng(seed);
   return tensor::make_multi_worker(n_workers, n, bs, sparsity, mode, rng);
+}
+
+TEST(ResultCheck, ReferenceIsReferenceReduceForEveryOp) {
+  const auto inputs = random_inputs(5, 1000, 16, 0.5, 41);
+  for (ReduceOp op : {ReduceOp::kSum, ReduceOp::kMin, ReduceOp::kMax}) {
+    for (bool dense : {false, true}) {
+      Config cfg = small_config();
+      cfg.op = op;
+      cfg.dense_mode = dense;
+      const ResultCheck check(inputs, cfg);
+      EXPECT_EQ(check.reference(), reference_reduce(inputs, cfg));
+      EXPECT_EQ(check.input_amax(), 0.0);  // no codec: not computed
+      EXPECT_EQ(check.max_error(std::vector<DenseTensor>(
+                    3, reference_reduce(inputs, cfg))),
+                0.0);
+    }
+  }
+}
+
+TEST(ResultCheck, InputAmaxIsTheScalarMaxWithACodec) {
+  const auto inputs = random_inputs(4, 777, 16, 0.3, 43);
+  double want = 0.0;
+  for (const auto& t : inputs) {
+    for (float v : t.values()) {
+      want = std::max(want, std::fabs(static_cast<double>(v)));
+    }
+  }
+  for (ReduceOp op : {ReduceOp::kSum, ReduceOp::kMax}) {
+    Config cfg = small_config();
+    cfg.op = op;
+    cfg.codec.codec = compress::WireCodec::kQ8;
+    EXPECT_EQ(ResultCheck(inputs, cfg).input_amax(), want);
+  }
+}
+
+TEST(ResultCheck, MaxErrorIsTheLargestScalarDeviation) {
+  const auto inputs = random_inputs(3, 1000, 16, 0.2, 47);
+  const Config cfg = small_config();
+  const ResultCheck check(inputs, cfg);
+  std::vector<DenseTensor> results(3, check.reference());
+  results[1][998] += 0.25f;
+  results[2][5] -= 0.125f;
+  const double want =
+      std::fabs(static_cast<double>(results[1][998]) - check.reference()[998]);
+  EXPECT_EQ(check.max_error(results), want);
+}
+
+TEST(ResultCheck, ANanResultFailsEveryTolerance) {
+  // A NaN where the reference is finite used to drop out of the max and
+  // pass as error 0.
+  const auto inputs = random_inputs(4, 600, 16, 0.5, 53);
+  const Config cfg = small_config();
+  const ResultCheck check(inputs, cfg);
+  std::vector<DenseTensor> results(4, check.reference());
+  results[3][301] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(check.max_error(results), std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(check.max_error(results) <= 1e-4 * 4);
+  // Through a registry algorithm's default verify_error.
+  const CollectiveAlgorithm& algo =
+      CollectiveRegistry::global().at("omnireduce");
+  EXPECT_EQ(algo.verify_error(check, results),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(ReduceKernels, SumIsBitEqualToTheScalarLoop) {
+  sim::Rng rng(59);
+  for (std::size_t n : {0, 1, 3, 4, 5, 7, 8, 255, 256, 257}) {
+    std::vector<float> dst(n), src(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[i] = rng.next_float(-10.0f, 10.0f);
+      src[i] = i % 5 == 0 ? -0.0f : rng.next_float(-10.0f, 10.0f);
+    }
+    std::vector<float> want = dst;
+    for (std::size_t i = 0; i < n; ++i) want[i] += src[i];
+    kernels::select(ReduceOp::kSum, false)(dst.data(), src.data(), n, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint32_t got_bits, want_bits;
+      std::memcpy(&got_bits, &dst[i], sizeof(float));
+      std::memcpy(&want_bits, &want[i], sizeof(float));
+      ASSERT_EQ(got_bits, want_bits) << "n=" << n << " i=" << i;
+    }
+  }
 }
 
 TEST(StreamLayout, CoversAllBlocksExactlyOnce) {

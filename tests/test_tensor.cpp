@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <utility>
 
 #include "sim/rng.h"
 #include "tensor/blocks.h"
@@ -10,6 +14,7 @@
 #include "tensor/dense.h"
 #include "tensor/generators.h"
 #include "tensor/index_codec.h"
+#include "tensor/kernels.h"
 
 namespace omr::tensor {
 namespace {
@@ -53,6 +58,228 @@ TEST(DenseTensor, MaxAbsDiff) {
   DenseTensor a(std::vector<float>{1, 2, 3});
   DenseTensor b(std::vector<float>{1, 2.5f, 3});
   EXPECT_NEAR(max_abs_diff(a, b), 0.5, 1e-9);
+}
+
+TEST(DenseTensor, MaxAbsDiffCountsAOneSidedNanAsUnbounded) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const DenseTensor finite(std::vector<float>{1, 2, 3});
+  const DenseTensor nan_result(std::vector<float>{1, kNan, 3});
+  EXPECT_EQ(max_abs_diff(nan_result, finite), kInf);
+  EXPECT_EQ(max_abs_diff(finite, nan_result), kInf);
+  // NaN on both sides, or the same infinity on both, is a match.
+  EXPECT_EQ(max_abs_diff(nan_result, nan_result), 0.0);
+  const DenseTensor inf(std::vector<float>{1, INFINITY, 3});
+  EXPECT_EQ(max_abs_diff(inf, inf), 0.0);
+  EXPECT_EQ(max_abs_diff(inf, finite), kInf);
+  // The multi-result pass sees a NaN in any result, past any SIMD group.
+  std::vector<float> wide(1027, 0.5f);
+  const DenseTensor reference(wide);
+  wide[1026] = kNan;
+  const DenseTensor bad(wide);
+  const std::vector<const DenseTensor*> results{&reference, &bad};
+  EXPECT_EQ(max_abs_diff(results, reference), kInf);
+}
+
+// ---------------------------------------------------------------------------
+// SIMD kernels against the plain scalar loops they replace.
+
+float from_bits(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+std::uint32_t to_bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+/// Mostly ordinary values and zeros, salted with every special the kernels
+/// must treat like the scalar loop: -0.0f, denormals, +-inf, quiet NaNs
+/// with payloads and a signaling NaN. `specials` = 0 leaves them out.
+std::vector<float> kernel_values(std::size_t n, std::uint64_t seed,
+                                 std::uint64_t specials = 16) {
+  static const std::uint32_t kSpecial[] = {
+      0x80000000u, 0x00000001u, 0x807fffffu, 0x00400000u, 0x7f800000u,
+      0xff800000u, 0x7fc00123u, 0xffc00456u, 0x7f800001u};
+  sim::Rng rng(seed);
+  std::vector<float> v(n);
+  for (float& x : v) {
+    const std::uint64_t r = rng.next_below(100);
+    if (r < specials) {
+      x = from_bits(kSpecial[rng.next_below(std::size(kSpecial))]);
+    } else if (r < specials + 30) {
+      x = 0.0f;
+    } else {
+      x = rng.next_float(-100.0f, 100.0f);
+    }
+  }
+  return v;
+}
+
+const std::size_t kKernelSizes[] = {0,   1,   3,   4,   5,          7,
+                                    8,   255, 256, 257, (1u << 20) + 3};
+
+/// `got` is bit-equal to `want`, both a + b. When a and b are both NaN the
+/// scalar loop's result payload depends on the operand order the compiler
+/// picked (addss returns its first operand's), so either quieted payload
+/// is accepted there.
+::testing::AssertionResult same_sum(float got, float want, float a, float b) {
+  constexpr std::uint32_t kQuiet = 0x00400000u;
+  if (to_bits(got) == to_bits(want)) return ::testing::AssertionSuccess();
+  if (std::isnan(a) && std::isnan(b) &&
+      (to_bits(got) == (to_bits(a) | kQuiet) ||
+       to_bits(got) == (to_bits(b) | kQuiet))) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << std::hex << to_bits(got) << " != " << to_bits(want);
+}
+
+double scalar_max_abs_diff(const float* a, const float* b, std::size_t n) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::isnan(a[i]) != std::isnan(b[i])) {
+      return std::numeric_limits<double>::infinity();
+    }
+    m = std::max(m, std::abs(static_cast<double>(a[i]) - b[i]));
+  }
+  return m;
+}
+
+TEST(Kernels, AddIsBitEqualToTheScalarLoop) {
+  for (std::size_t n : kKernelSizes) {
+    std::vector<float> dst = kernel_values(n, 11 + n);
+    const std::vector<float> src = kernel_values(n, 23 + n);
+    const std::vector<float> before = dst;
+    std::vector<float> want = dst;
+    for (std::size_t i = 0; i < n; ++i) want[i] += src[i];
+    kernels::add(dst.data(), src.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(same_sum(dst[i], want[i], before[i], src[i]))
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(Kernels, MaxAbsEqualsTheScalarLoop) {
+  for (std::size_t n : kKernelSizes) {
+    const std::vector<float> v = kernel_values(n, 5 + n);
+    double want = 0.0;
+    for (float x : v) want = std::max(want, std::fabs(static_cast<double>(x)));
+    EXPECT_EQ(kernels::max_abs(v.data(), n), want) << "n=" << n;
+  }
+}
+
+TEST(Kernels, MaxAbsDiffEqualsTheScalarLoop) {
+  for (std::size_t n : kKernelSizes) {
+    // Without NaNs: a result near the reference, as a verify sees it, and
+    // an unrelated one. Salted: a one-sided NaN makes both +inf.
+    for (std::uint64_t specials : {0, 16}) {
+      const std::vector<float> ref = kernel_values(n, 7 + n, specials);
+      std::vector<float> near = ref;
+      for (std::size_t i = 0; i < n; i += 3) {
+        near[i] = std::nextafter(near[i], 1000.0f);
+      }
+      const std::vector<float> far = kernel_values(n, 9 + n, specials);
+      for (const std::vector<float>* r :
+           {&ref, &std::as_const(near), &far}) {
+        EXPECT_EQ(kernels::max_abs_diff(r->data(), ref.data(), n),
+                  scalar_max_abs_diff(r->data(), ref.data(), n))
+            << "n=" << n << " specials=" << specials;
+      }
+    }
+  }
+  // Ties: every element's float difference equals the running max, so
+  // every group falls through to the exact loop.
+  std::vector<float> a(1000, 1.0f), b(1000, 1.5f);
+  EXPECT_EQ(kernels::max_abs_diff(a.data(), b.data(), a.size()), 0.5);
+  // A float difference that rounds down onto the running max while the
+  // double difference exceeds it: -2^-30 - 1 is 1 in float.
+  a.assign(16, 0.0f);
+  b.assign(16, 1.0f);
+  a[12] = -std::ldexp(1.0f, -30);
+  EXPECT_EQ(kernels::max_abs_diff(a.data(), b.data(), a.size()),
+            1.0 + std::ldexp(1.0, -30));
+  // Both-NaN and matching infinities are matches; NaN in the tail is not.
+  a.assign(13, from_bits(0x7fc00123u));
+  b.assign(13, from_bits(0xffc00456u));
+  a[3] = b[3] = INFINITY;
+  EXPECT_EQ(kernels::max_abs_diff(a.data(), b.data(), a.size()), 0.0);
+  b[12] = 1.0f;
+  EXPECT_EQ(kernels::max_abs_diff(a.data(), b.data(), a.size()),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(Kernels, BitmapEqualsTheScalarScan) {
+  for (std::size_t n : kKernelSizes) {
+    std::vector<float> v = kernel_values(n, 31 + n);
+    // Zero out runs so some blocks are all-zero (or all -0.0f), others
+    // hold a single special in the middle or at the end.
+    sim::Rng rng(n);
+    for (std::size_t lo = 0; lo < n; lo += 40) {
+      const std::uint64_t r = rng.next_below(4);
+      if (r == 0) continue;
+      const float fill = r == 1 ? 0.0f : -0.0f;
+      for (std::size_t i = lo; i < std::min(lo + 40, n); ++i) v[i] = fill;
+      if (r == 3) v[std::min(lo + 39, n - 1)] = from_bits(0x00000001u);
+    }
+    for (std::size_t bs : {1, 7, 16, 40, 256}) {
+      const BlockBitmap bm(v, bs);
+      ASSERT_EQ(bm.size(), num_blocks(n, bs));
+      for (std::size_t b = 0; b < bm.size(); ++b) {
+        bool want = false;
+        for (std::size_t i = b * bs; i < std::min((b + 1) * bs, n); ++i) {
+          want = want || v[i] != 0.0f;
+        }
+        ASSERT_EQ(bm.nonzero(static_cast<BlockIndex>(b)), want)
+            << "n=" << n << " bs=" << bs << " block=" << b;
+      }
+    }
+  }
+}
+
+TEST(Kernels, FusedReferencePassesEqualTheScalarLoops) {
+  for (std::size_t n : kKernelSizes) {
+    std::vector<DenseTensor> ts;
+    for (std::uint64_t w = 0; w < 5; ++w) {
+      ts.emplace_back(kernel_values(n, 100 * w + n));
+    }
+    std::vector<const DenseTensor*> refs;
+    for (const auto& t : ts) refs.push_back(&t);
+    double amax = -1.0;
+    const DenseTensor sum = reference_sum(refs, &amax);
+    double want_amax = 0.0;
+    for (const auto& t : ts) {
+      for (float x : t.values()) {
+        want_amax = std::max(want_amax, std::fabs(static_cast<double>(x)));
+      }
+    }
+    ASSERT_EQ(sum.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      float want = 0.0f;
+      bool nan_plus_nan = false;  // payload then order-dependent (same_sum)
+      for (const auto& t : ts) {
+        nan_plus_nan = nan_plus_nan || (std::isnan(want) && std::isnan(t[i]));
+        want += t[i];
+      }
+      if (nan_plus_nan) {
+        ASSERT_TRUE(std::isnan(sum[i])) << "n=" << n << " i=" << i;
+      } else {
+        ASSERT_EQ(to_bits(sum[i]), to_bits(want)) << "n=" << n << " i=" << i;
+      }
+    }
+    EXPECT_EQ(amax, want_amax) << "n=" << n;
+    double want_err = 0.0;
+    for (const auto& t : ts) {
+      want_err = std::max(
+          want_err,
+          scalar_max_abs_diff(t.values().data(), sum.values().data(), n));
+    }
+    EXPECT_EQ(max_abs_diff(refs, sum), want_err) << "n=" << n;
+  }
 }
 
 TEST(Coo, RoundTrip) {

@@ -3,8 +3,12 @@
 
 Drives bench/bench_hotpath_wallclock (see docs/PERFORMANCE.md):
 
-  1. configures + builds a Release tree (unless --skip-build),
-  2. runs the harness to get one labelled result set,
+  1. configures + builds a RelWithDebInfo tree (unless --skip-build) — the
+     build type tier-1 and perfbench ship; Release's -O3 vectorizes loops
+     the shipped -O2 build does not,
+  2. runs the harness single-threaded (OMR_JOBS=1: its entries otherwise
+     run concurrently and time each other's contention) to get one
+     labelled result set, stamped with the build type and OMR_JOBS,
   3. optionally merges a baseline result set (--baseline) into a single
      before/after document with per-benchmark speedups and a check that
      the simulated outputs (completion time, messages, rounds,
@@ -28,6 +32,8 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+BUILD_TYPE = "RelWithDebInfo"
+
 SIM_KEYS = (
     "sim_completion_ns",
     "sim_total_messages",
@@ -39,18 +45,31 @@ SIM_KEYS = (
 def build(build_dir: str) -> str:
     if not os.path.isabs(build_dir):
         build_dir = os.path.join(REPO, build_dir)
-    if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
-        subprocess.run(
-            ["cmake", "-S", REPO, "-B", build_dir,
-             "-DCMAKE_BUILD_TYPE=Release"],
-            check=True,
-        )
+    # Configure every time: an existing tree keeps whatever build type it
+    # was made with otherwise.
+    subprocess.run(
+        ["cmake", "-S", REPO, "-B", build_dir,
+         f"-DCMAKE_BUILD_TYPE={BUILD_TYPE}"],
+        check=True,
+    )
     subprocess.run(
         ["cmake", "--build", build_dir, "-j", str(os.cpu_count() or 4),
          "--target", "bench_hotpath_wallclock"],
         check=True,
     )
     return build_dir
+
+
+def cached_build_type(build_dir: str) -> str:
+    """CMAKE_BUILD_TYPE of a configured tree ("" when unset or unknown)."""
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    return line.split("=", 1)[1].strip()
+    except OSError:
+        pass
+    return ""
 
 
 def run_harness(build_dir: str, label: str, smoke: bool) -> dict:
@@ -60,10 +79,12 @@ def run_harness(build_dir: str, label: str, smoke: bool) -> dict:
     cmd = [exe, "--label", label, "--out", out_path]
     if smoke:
         cmd.append("--smoke")
-    subprocess.run(cmd, check=True)
+    subprocess.run(cmd, check=True, env=dict(os.environ, OMR_JOBS="1"))
     with open(out_path) as f:
         doc = json.load(f)
     os.unlink(out_path)
+    doc["build_type"] = cached_build_type(build_dir)
+    doc["omr_jobs"] = 1
     return doc
 
 
