@@ -14,7 +14,8 @@
 namespace omr::runner {
 
 /// Degree of parallelism for sweep execution: the OMR_JOBS environment
-/// variable when set (clamped to >= 1), otherwise hardware_concurrency.
+/// variable when set (an integer, clamped to >= 1, or "auto"), otherwise
+/// hardware_concurrency. Any other value throws std::invalid_argument.
 /// OMR_JOBS=1 selects the exact serial path — no threads are created and
 /// tasks interleave with commits precisely like a plain for loop.
 std::size_t default_jobs();
@@ -42,6 +43,10 @@ class SweepRunner {
   SweepRunner& operator=(const SweepRunner&) = delete;
 
   std::size_t jobs() const { return jobs_; }
+  /// Threads the pool has started so far (0 before any parallel sweep).
+  std::size_t pool_threads() const {
+    return pool_ == nullptr ? 0 : pool_->n_threads();
+  }
 
   template <typename R>
   void for_each(std::size_t n, const std::function<R(std::size_t)>& task,
@@ -52,7 +57,7 @@ class SweepRunner {
       for (std::size_t i = 0; i < n; ++i) commit(i, task(i));
       return;
     }
-    ensure_pool();
+    ensure_pool(n);
 
     struct Slot {
       std::optional<R> result;
@@ -102,7 +107,9 @@ class SweepRunner {
   }
 
  private:
-  void ensure_pool();
+  /// Pool of min(jobs_, n_tasks) threads; grown (never shrunk) when a
+  /// later sweep has more tasks than the pool has threads.
+  void ensure_pool(std::size_t n_tasks);
 
   std::size_t jobs_;
   std::unique_ptr<ThreadPool> pool_;  // created on first parallel for_each

@@ -223,8 +223,7 @@ class Simulator {
   /// Timestamp of the earliest pending event, without executing it, or
   /// kTimeInfinity when idle. Prunes cancelled wheel-bucket heads exactly
   /// like run_until does, so interleaving this with run_until leaves the
-  /// execution sequence unchanged. The conservative parallel engine uses
-  /// it to compute the global safe horizon each synchronization window.
+  /// execution sequence unchanged.
   Time next_event_time();
 
   /// Number of events executed so far (for diagnostics / loop detection).

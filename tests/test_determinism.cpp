@@ -56,12 +56,18 @@ void expect_identical(const RunStats& a, const RunStats& b) {
 }
 
 TEST(Determinism, LosslessRdmaRunsAreBitIdentical) {
-  const RunSetup s = make_setup(Transport::kRdma, 0.0);
-  const RunStats a = run_once(s);
-  const RunStats b = run_once(s);
-  expect_identical(a, b);
-  EXPECT_EQ(a.retransmissions, 0u);
-  EXPECT_GT(a.rounds, 0u);
+  // The default latency, plus a zero-latency and a 2 ns fabric where
+  // deliveries land on (or next to) the instant of their send.
+  for (const sim::Time latency : {sim::Time{-1}, sim::Time{0}, sim::Time{2}}) {
+    SCOPED_TRACE("one_way_latency " + std::to_string(latency));
+    RunSetup s = make_setup(Transport::kRdma, 0.0);
+    if (latency >= 0) s.cluster.fabric.one_way_latency = latency;
+    const RunStats a = run_once(s);
+    const RunStats b = run_once(s);
+    expect_identical(a, b);
+    EXPECT_EQ(a.retransmissions, 0u);
+    EXPECT_GT(a.rounds, 0u);
+  }
 }
 
 TEST(Determinism, LossyDpdkRunsAreBitIdentical) {

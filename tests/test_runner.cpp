@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -195,6 +197,75 @@ TEST(SweepRunner, IsReusableAfterAnException) {
 // ---------------------------------------------------------------------------
 
 TEST(DefaultJobs, IsAtLeastOne) { EXPECT_GE(default_jobs(), 1u); }
+
+/// Sets OMR_JOBS for one scope and restores the previous value.
+class ScopedJobsEnv {
+ public:
+  explicit ScopedJobsEnv(const char* value) {
+    const char* old = std::getenv("OMR_JOBS");
+    if (old != nullptr) old_ = old;
+    had_old_ = old != nullptr;
+    ::setenv("OMR_JOBS", value, 1);
+  }
+  ~ScopedJobsEnv() {
+    if (had_old_) {
+      ::setenv("OMR_JOBS", old_.c_str(), 1);
+    } else {
+      ::unsetenv("OMR_JOBS");
+    }
+  }
+
+ private:
+  std::string old_;
+  bool had_old_ = false;
+};
+
+TEST(DefaultJobs, ParsesTheWholeValue) {
+  {
+    ScopedJobsEnv env("3");
+    EXPECT_EQ(default_jobs(), 3u);
+  }
+  {
+    ScopedJobsEnv env("0");
+    EXPECT_EQ(default_jobs(), 1u);
+  }
+  {
+    ScopedJobsEnv env("auto");
+    EXPECT_GE(default_jobs(), 1u);
+  }
+  for (const char* garbage : {"4x", "abc", "", " 2", "2.5"}) {
+    SCOPED_TRACE(std::string("OMR_JOBS=\"") + garbage + "\"");
+    ScopedJobsEnv env(garbage);
+    try {
+      default_jobs();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("OMR_JOBS"), std::string::npos);
+    }
+    // A runner sized from the environment rejects it too.
+    EXPECT_THROW(SweepRunner runner, std::invalid_argument);
+  }
+}
+
+TEST(SweepRunner, StartsNoMoreThreadsThanTasks) {
+  SweepRunner runner(8);
+  EXPECT_EQ(runner.pool_threads(), 0u);
+  int commits = 0;
+  auto sweep = [&](std::size_t n) {
+    runner.for_each<int>(
+        n, [](std::size_t i) { return static_cast<int>(i); },
+        [&](std::size_t, int&&) { ++commits; });
+  };
+  sweep(3);
+  EXPECT_EQ(runner.pool_threads(), 3u);
+  sweep(5);  // grows to the larger sweep
+  EXPECT_EQ(runner.pool_threads(), 5u);
+  sweep(2);  // an existing larger pool is reused
+  EXPECT_EQ(runner.pool_threads(), 5u);
+  sweep(1);  // one task runs inline
+  EXPECT_EQ(runner.pool_threads(), 5u);
+  EXPECT_EQ(commits, 11);
+}
 
 // ---------------------------------------------------------------------------
 // Bit-identical reports: a Fig. 4-shaped grid, serial vs parallel

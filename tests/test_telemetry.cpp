@@ -345,6 +345,10 @@ TEST(Telemetry, ReportJsonParses) {
   EXPECT_EQ(root.at("workers").at("data_bytes").arr.size(), 3u);
   EXPECT_EQ(static_cast<std::size_t>(root.at("run").at("n_workers").number),
             3u);
+  EXPECT_GT(report.sim_events_executed, 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                root.at("run").at("sim_events_executed").number),
+            report.sim_events_executed);
   EXPECT_TRUE(root.at("trace").has("traceEvents"));
   EXPECT_FALSE(root.at("streams").arr.empty());
 }
