@@ -23,7 +23,9 @@
 #include <vector>
 
 #include "core/cluster.h"
+#include "compress/wire_codec.h"
 #include "core/engine.h"
+#include "core/session.h"
 #include "core/sparse_kv.h"
 #include "core/verify.h"
 #include "runner/sweep.h"
@@ -305,6 +307,81 @@ Result bench_bitmap_build_workers(bool smoke, int repeats) {
   return check_result("bitmap_build_8x1m", c, std::move(times));
 }
 
+// --- wire codec: q8 group-32 encode and decode -----------------------------
+
+/// 2^20 gradient-like values coded as 256-element engine columns, the unit
+/// the worker and aggregator encode.
+constexpr std::size_t kCodecColumn = 256;
+
+std::vector<float> make_codec_input(bool smoke) {
+  const std::size_t n = smoke ? (1u << 16) : (1u << 20);
+  omr::sim::Rng rng(42);
+  std::vector<float> x(n);
+  for (auto& v : x) v = rng.next_float(-0.05f, 0.05f);
+  return x;
+}
+
+Result codec_result(const char* name, std::size_t n, int inner,
+                    std::vector<double> times) {
+  Result res;
+  res.name = name;
+  res.kind = "micro";
+  res.wall_ms = median(std::move(times));
+  res.work_units = static_cast<double>(n) * inner;
+  res.unit = "elements";
+  return res;
+}
+
+/// Encode plus wire representatives (what a sender keeps), one column at a
+/// time into one reused block.
+Result bench_codec_encode_q8(bool smoke, int repeats) {
+  const std::vector<float> x = make_codec_input(smoke);
+  std::vector<float> reps(x.size());
+  omr::compress::EncodedBlock enc;
+  const int inner = smoke ? 2 : 8;
+  std::vector<double> times;
+  double sink = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < inner; ++i) {
+      for (std::size_t off = 0; off < x.size(); off += kCodecColumn) {
+        omr::compress::encode_block(x.data() + off, kCodecColumn,
+                                    omr::compress::WireCodec::kQ8, enc,
+                                    reps.data() + off);
+      }
+    }
+    times.push_back(ms_since(t0));
+    sink += reps[reps.size() / 2];
+  }
+  if (sink != sink) std::fprintf(stderr, "unexpected NaN\n");
+  return codec_result("codec_encode_q8", x.size(), inner, std::move(times));
+}
+
+Result bench_codec_decode_q8(bool smoke, int repeats) {
+  const std::vector<float> x = make_codec_input(smoke);
+  std::vector<omr::compress::EncodedBlock> blocks(x.size() / kCodecColumn);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    omr::compress::encode_block(x.data() + b * kCodecColumn, kCodecColumn,
+                                omr::compress::WireCodec::kQ8, blocks[b]);
+  }
+  std::vector<float> out(x.size());
+  const int inner = smoke ? 2 : 8;
+  std::vector<double> times;
+  double sink = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < inner; ++i) {
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        omr::compress::decode_block(blocks[b], out.data() + b * kCodecColumn);
+      }
+    }
+    times.push_back(ms_since(t0));
+    sink += out[out.size() / 2];
+  }
+  if (sink != sink) std::fprintf(stderr, "unexpected NaN\n");
+  return codec_result("codec_decode_q8", x.size(), inner, std::move(times));
+}
+
 // --- sparse KV allreduce (Algorithm 3 accumulator) -------------------------
 
 omr::tensor::CooTensor make_coo(std::size_t dim, std::size_t nnz,
@@ -379,6 +456,49 @@ Result bench_e2e_allreduce(const char* name, omr::core::Transport transport,
   res.kind = "e2e";
   res.wall_ms = median(times);
   res.work_units = static_cast<double>(n * kWorkers);
+  res.unit = "elements";
+  res.has_sim = true;
+  res.sim_completion_ns = static_cast<std::uint64_t>(stats.completion_time);
+  res.sim_total_messages = stats.total_messages;
+  res.sim_rounds = stats.rounds;
+  res.sim_retransmissions = stats.retransmissions;
+  return res;
+}
+
+/// The shape of perfbench's codec_spine at bench scale: DPDK (Algorithm 2),
+/// q8 with error feedback, two-tier racks at 4:1 with a lossy spine. Two
+/// collectives on one Session, so the second folds the carried residual.
+Result bench_e2e_codec_spine(bool smoke, int repeats) {
+  const std::size_t n = smoke ? (1u << 16) : (1u << 19);
+  const std::size_t kWorkers = 16;
+  auto cfg = omr::core::Config::for_transport(omr::core::Transport::kDpdk);
+  cfg.codec.codec = omr::compress::WireCodec::kQ8;
+  cfg.codec.error_feedback = true;
+  omr::core::FabricConfig fabric;
+  fabric.seed = 7;
+  auto cluster = omr::core::ClusterSpec::dedicated(4, fabric);
+  cluster.topology = omr::core::TopologySpec::two_tier_racks(4, 4.0);
+  cluster.topology.spine_loss_rate = 1e-4;
+  std::vector<double> times;
+  omr::core::RunStats stats;
+  for (int r = 0; r < repeats; ++r) {
+    omr::sim::Rng rng(42);  // identical inputs every repeat
+    const auto inputs = omr::tensor::make_multi_worker(
+        kWorkers, n, cfg.block_size, 0.5, omr::tensor::OverlapMode::kRandom,
+        rng);
+    const auto t0 = Clock::now();
+    omr::core::Session session(cfg, kWorkers, cluster);
+    for (int step = 0; step < 2; ++step) {
+      auto tensors = inputs;
+      stats = session.allreduce(tensors, /*verify=*/false);
+    }
+    times.push_back(ms_since(t0));
+  }
+  Result res;
+  res.name = "e2e_codec_spine";
+  res.kind = "e2e";
+  res.wall_ms = median(times);
+  res.work_units = static_cast<double>(2 * n * kWorkers);
   res.unit = "elements";
   res.has_sim = true;
   res.sim_completion_ns = static_cast<std::uint64_t>(stats.completion_time);
@@ -470,6 +590,8 @@ int main(int argc, char** argv) {
       {"verify_reference", bench_verify_reference},
       {"verify_check", bench_verify_check},
       {"bitmap_build_8x1m", bench_bitmap_build_workers},
+      {"codec_encode_q8", bench_codec_encode_q8},
+      {"codec_decode_q8", bench_codec_decode_q8},
       {"kv_allreduce", bench_kv_allreduce},
       {"e2e_rdma_s90",
        [](bool s, int r) {
@@ -487,6 +609,7 @@ int main(int argc, char** argv) {
          return bench_e2e_allreduce("e2e_dpdk_lossy",
                                     omr::core::Transport::kDpdk, 0.001, s, r);
        }},
+      {"e2e_codec_spine", bench_e2e_codec_spine},
   };
 
   std::vector<const Entry*> selected;

@@ -6,6 +6,10 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace omr::compress {
 
 namespace {
@@ -28,15 +32,16 @@ std::uint16_t f32_to_f16(float f) {
     return static_cast<std::uint16_t>(sign | 0x7bffu);
   }
   if (abs < 0x38800000u) {
-    // Half-subnormal range (< 2^-14): quantize to multiples of 2^-24.
+    // Half-subnormal range (< 2^-14): quantize to multiples of 2^-24. The
+    // value is mant * 2^(e - 150) with e = abs >> 23, so its count of
+    // 2^-24 steps is mant >> (126 - e). A round-up to 0x400 carries into
+    // the smallest half normal, 2^-14, which is the correct encoding.
     if (abs < 0x33000000u) return sign;  // < 2^-25 rounds to zero
     const int shift = 126 - static_cast<int>(abs >> 23);  // in [14, 24]
-    // 64-bit: shift + 13 reaches 37 for the smallest magnitudes, past the
-    // width of a 32-bit shift.
-    std::uint64_t mant = (abs & 0x007fffffu) | 0x00800000u;
-    const std::uint64_t lsb = std::uint64_t{1} << (shift + 13);
-    const std::uint64_t rest = mant & (lsb - 1);
-    mant >>= (shift + 13);
+    std::uint32_t mant = (abs & 0x007fffffu) | 0x00800000u;
+    const std::uint32_t lsb = 1u << shift;
+    const std::uint32_t rest = mant & (lsb - 1);
+    mant >>= shift;
     if (rest > (lsb >> 1) || (rest == (lsb >> 1) && (mant & 1u))) ++mant;
     return static_cast<std::uint16_t>(sign | mant);
   }
@@ -189,61 +194,185 @@ double codec_verify_slack(WireCodec c, double input_amax,
 
 float fp16_round(float x) { return f16_to_f32(f32_to_f16(x)); }
 
-void encode_block(const float* x, std::size_t n, WireCodec c,
-                  EncodedBlock& out) {
+namespace {
+
+/// Shapes `out` for `n` elements of codec `c`. Vectors only shrink or grow,
+/// so a recycled block keeps its capacity and every slot is then written.
+void shape_block(std::size_t n, WireCodec c, EncodedBlock& out) {
   out.codec = c;
   out.n = static_cast<std::uint32_t>(n);
-  out.scale.clear();
-  out.zero.clear();
-  out.q.clear();
-  out.fp.clear();
-  if (c == WireCodec::kNone || n == 0) return;
-  const std::size_t groups = group_count(n);
-  out.scale.reserve(groups);
-  if (c == WireCodec::kFp8) {
-    out.fp.resize(n);
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t lo = g * kCodecGroup;
-      const std::size_t hi = std::min(lo + kCodecGroup, n);
-      float amax = 0.0f;
-      for (std::size_t i = lo; i < hi; ++i) {
-        amax = std::max(amax, std::fabs(x[i]));
-      }
-      const float scale = amax > 0.0f ? fp16_round(amax / 448.0f) : 0.0f;
-      out.scale.push_back(scale);
-      for (std::size_t i = lo; i < hi; ++i) {
-        out.fp[i] = scale > 0.0f ? quantize_e4m3(x[i] / scale) : 0.0f;
-      }
-    }
-    return;
-  }
-  const std::int32_t levels =
-      static_cast<std::int32_t>((1u << codec_code_bits(c)) - 1u);
-  out.zero.reserve(groups);
-  out.q.resize(n);
-  for (std::size_t g = 0; g < groups; ++g) {
+  const bool empty = c == WireCodec::kNone || n == 0;
+  const bool fp8 = c == WireCodec::kFp8;
+  out.scale.resize(empty ? 0 : group_count(n));
+  out.zero.resize(empty || fp8 ? 0 : group_count(n));
+  out.q.resize(empty || fp8 ? 0 : n);
+  out.fp.resize(empty || !fp8 ? 0 : n);
+}
+
+void encode_fp8(const float* x, std::size_t n, EncodedBlock& out,
+                float* reps) {
+  for (std::size_t g = 0; g < out.scale.size(); ++g) {
     const std::size_t lo = g * kCodecGroup;
     const std::size_t hi = std::min(lo + kCodecGroup, n);
-    float mn = x[lo], mx = x[lo];
-    for (std::size_t i = lo + 1; i < hi; ++i) {
-      mn = std::min(mn, x[i]);
-      mx = std::max(mx, x[i]);
-    }
-    const float zero = fp16_round(mn);
-    const float scale =
-        fp16_round((mx - zero) / static_cast<float>(levels));
-    out.scale.push_back(scale);
-    out.zero.push_back(zero);
+    float amax = 0.0f;
     for (std::size_t i = lo; i < hi; ++i) {
-      std::int32_t q = 0;
-      if (scale > 0.0f) {
-        q = static_cast<std::int32_t>(
-            std::nearbyintf((x[i] - zero) / scale));
-        q = std::clamp(q, std::int32_t{0}, levels);
-      }
-      out.q[i] = q;
+      amax = std::max(amax, std::fabs(x[i]));
+    }
+    const float scale = amax > 0.0f ? fp16_round(amax / 448.0f) : 0.0f;
+    out.scale[g] = scale;
+    for (std::size_t i = lo; i < hi; ++i) {
+      out.fp[i] = scale > 0.0f ? quantize_e4m3(x[i] / scale) : 0.0f;
+      if (reps != nullptr) reps[i] = out.fp[i] * scale;
     }
   }
+}
+
+std::int32_t codec_levels(WireCodec c) {
+  return static_cast<std::int32_t>((1u << codec_code_bits(c)) - 1u);
+}
+
+/// Group (min, max) as the sequential std::min/std::max fold seeded with
+/// x[lo]: a NaN there sticks, a later NaN is skipped, and of equal values
+/// (+0 and -0) the first one wins.
+void minmax_scalar(const float* x, std::size_t lo, std::size_t hi, float& mn,
+                   float& mx) {
+  mn = x[lo];
+  mx = x[lo];
+  for (std::size_t i = lo + 1; i < hi; ++i) {
+    mn = std::min(mn, x[i]);
+    mx = std::max(mx, x[i]);
+  }
+}
+
+/// Code of one value: nearbyintf((v - zero) / scale) clamped to
+/// [0, levels]. A quotient that is NaN or at least 2^31 has no int32 value
+/// and codes as 0, which is what the hardware conversion (cvttss2si or
+/// cvtps2dq: INT_MIN) followed by the clamp gives.
+std::int32_t quantize_scalar(float v, float zero, float scale,
+                             std::int32_t levels) {
+  const float r = std::nearbyintf((v - zero) / scale);
+  if (!(r > 0.0f) || r >= 2147483648.0f) return 0;
+  const auto q = static_cast<std::int32_t>(r);
+  return q < levels ? q : levels;
+}
+
+/// Codes and representatives of x[lo..hi) on one group's grid; reps may
+/// alias x (each element is read before its representative is written).
+void quantize_group_scalar(const float* x, std::size_t lo, std::size_t hi,
+                           float zero, float scale, std::int32_t levels,
+                           std::int32_t* q, float* reps) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    q[i] = scale > 0.0f ? quantize_scalar(x[i], zero, scale, levels) : 0;
+    if (reps != nullptr) reps[i] = scale * static_cast<float>(q[i]) + zero;
+  }
+}
+
+/// (zero, scale) of a group from its min and max, both fp16-exact.
+void group_grid(float mn, float mx, std::int32_t levels, float& zero,
+                float& scale) {
+  zero = fp16_round(mn);
+  scale = fp16_round((mx - zero) / static_cast<float>(levels));
+}
+
+#if defined(__SSE2__)
+/// minmax_scalar over one full group. minps/maxps return their second
+/// operand when either is NaN or both are equal, so with the accumulator
+/// second each lane folds exactly like std::min/std::max, and seeding
+/// every lane with x[lo] makes a leading NaN stick in all four. Lanes then
+/// combine in another order, which only the sign of a zero result can
+/// tell: that case reruns the scalar fold.
+void minmax_group_sse2(const float* x, float& mn, float& mx) {
+  __m128 vmn = _mm_set1_ps(x[0]);
+  __m128 vmx = vmn;
+  for (std::size_t i = 0; i < kCodecGroup; i += 4) {
+    const __m128 v = _mm_loadu_ps(x + i);
+    vmn = _mm_min_ps(v, vmn);
+    vmx = _mm_max_ps(v, vmx);
+  }
+  vmn = _mm_min_ps(vmn, _mm_movehl_ps(vmn, vmn));
+  vmn = _mm_min_ps(vmn, _mm_shuffle_ps(vmn, vmn, 1));
+  vmx = _mm_max_ps(vmx, _mm_movehl_ps(vmx, vmx));
+  vmx = _mm_max_ps(vmx, _mm_shuffle_ps(vmx, vmx, 1));
+  mn = _mm_cvtss_f32(vmn);
+  mx = _mm_cvtss_f32(vmx);
+  if (mn == 0.0f || mx == 0.0f) minmax_scalar(x, 0, kCodecGroup, mn, mx);
+}
+
+/// quantize_group_scalar over one full group with scale > 0. subps/divps
+/// round each lane like subss/divss; cvtps2dq rounds to nearest-even under
+/// the default MXCSR, as nearbyintf does, and turns NaN and out-of-range
+/// quotients into INT_MIN, which the clamp sends to 0. cvtdq2ps, mulps and
+/// addps then form scale * q + zero exactly as decode_block does.
+void quantize_group_sse2(const float* x, float zero, float scale,
+                         std::int32_t levels, std::int32_t* q, float* reps) {
+  const __m128 vzero = _mm_set1_ps(zero);
+  const __m128 vscale = _mm_set1_ps(scale);
+  const __m128i vlevels = _mm_set1_epi32(levels);
+  const __m128i vnull = _mm_setzero_si128();
+  for (std::size_t i = 0; i < kCodecGroup; i += 4) {
+    __m128i c = _mm_cvtps_epi32(
+        _mm_div_ps(_mm_sub_ps(_mm_loadu_ps(x + i), vzero), vscale));
+    c = _mm_and_si128(c, _mm_cmpgt_epi32(c, vnull));  // max(c, 0)
+    const __m128i over = _mm_cmpgt_epi32(c, vlevels);
+    c = _mm_or_si128(_mm_andnot_si128(over, c), _mm_and_si128(over, vlevels));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + i), c);
+    if (reps != nullptr) {
+      _mm_storeu_ps(reps + i, _mm_add_ps(_mm_mul_ps(vscale, _mm_cvtepi32_ps(c)),
+                                         vzero));
+    }
+  }
+}
+#endif
+
+/// encode_block with the SSE2 group kernels on (`simd`) or off.
+void encode(const float* x, std::size_t n, WireCodec c, EncodedBlock& out,
+            float* reps, bool simd) {
+  shape_block(n, c, out);
+  if (c == WireCodec::kNone || n == 0) return;
+  if (c == WireCodec::kFp8) {
+    encode_fp8(x, n, out, reps);
+    return;
+  }
+  const std::int32_t levels = codec_levels(c);
+  for (std::size_t g = 0; g < out.scale.size(); ++g) {
+    const std::size_t lo = g * kCodecGroup;
+    const std::size_t hi = std::min(lo + kCodecGroup, n);
+    float& zero = out.zero[g];
+    float& scale = out.scale[g];
+#if defined(__SSE2__)
+    if (simd && hi - lo == kCodecGroup) {
+      float mn, mx;
+      minmax_group_sse2(x + lo, mn, mx);
+      group_grid(mn, mx, levels, zero, scale);
+      if (scale > 0.0f) {
+        quantize_group_sse2(x + lo, zero, scale, levels, out.q.data() + lo,
+                            reps != nullptr ? reps + lo : nullptr);
+      } else {
+        // Constant group, or a NaN/negative scale: every code is 0.
+        quantize_group_scalar(x, lo, hi, zero, scale, levels, out.q.data(),
+                              reps);
+      }
+      continue;
+    }
+#endif
+    (void)simd;
+    float mn, mx;
+    minmax_scalar(x, lo, hi, mn, mx);
+    group_grid(mn, mx, levels, zero, scale);
+    quantize_group_scalar(x, lo, hi, zero, scale, levels, out.q.data(), reps);
+  }
+}
+
+}  // namespace
+
+void encode_block(const float* x, std::size_t n, WireCodec c,
+                  EncodedBlock& out, float* reps) {
+  encode(x, n, c, out, reps, /*simd=*/true);
+}
+
+void encode_block_reference(const float* x, std::size_t n, WireCodec c,
+                            EncodedBlock& out, float* reps) {
+  encode(x, n, c, out, reps, /*simd=*/false);
 }
 
 void decode_block(const EncodedBlock& e, float* out) {
@@ -255,7 +384,20 @@ void decode_block(const EncodedBlock& e, float* out) {
     }
     return;
   }
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  // cvtdq2ps, mulps and addps round each lane like the scalar expression.
+  for (; i + kCodecGroup <= n; i += kCodecGroup) {
+    const __m128 vscale = _mm_set1_ps(e.scale[i / kCodecGroup]);
+    const __m128 vzero = _mm_set1_ps(e.zero[i / kCodecGroup]);
+    for (std::size_t k = i; k < i + kCodecGroup; k += 4) {
+      const __m128 q = _mm_cvtepi32_ps(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(e.q.data() + k)));
+      _mm_storeu_ps(out + k, _mm_add_ps(_mm_mul_ps(vscale, q), vzero));
+    }
+  }
+#endif
+  for (; i < n; ++i) {
     const std::size_t g = i / kCodecGroup;
     out[i] = e.scale[g] * static_cast<float>(e.q[i]) + e.zero[g];
   }
@@ -264,8 +406,21 @@ void decode_block(const EncodedBlock& e, float* out) {
 void codec_roundtrip(float* x, std::size_t n, WireCodec c) {
   if (c == WireCodec::kNone || n == 0) return;
   EncodedBlock e;
-  encode_block(x, n, c, e);
-  decode_block(e, x);
+  encode_block(x, n, c, e, x);
+}
+
+std::shared_ptr<EncodedBlock> EncodedBlockPool::acquire() {
+  if (free_.empty()) return std::make_shared<EncodedBlock>();
+  std::shared_ptr<EncodedBlock> e = std::move(free_.back());
+  free_.pop_back();
+  return e;
+}
+
+void EncodedBlockPool::release(std::shared_ptr<const EncodedBlock>& e) {
+  if (e != nullptr && e.use_count() == 1) {
+    free_.push_back(std::const_pointer_cast<EncodedBlock>(std::move(e)));
+  }
+  e.reset();
 }
 
 void QuantAccumulator::reset() {

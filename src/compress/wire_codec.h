@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,9 +76,32 @@ struct EncodedBlock {
   std::size_t payload_bytes() const { return codec_payload_bytes(codec, n); }
 };
 
+/// Free list of EncodedBlocks for a sender that encodes every round (the
+/// worker's data leg, the aggregator's result leg). A block comes back
+/// only when the caller holds its last reference, so one still on the wire
+/// or kept for retransmission is never rewritten.
+class EncodedBlockPool {
+ public:
+  /// A recycled block, or a fresh one when the pool is dry.
+  std::shared_ptr<EncodedBlock> acquire();
+  /// Drop `e`, keeping the block for reuse when `e` was its only owner.
+  void release(std::shared_ptr<const EncodedBlock>& e);
+
+ private:
+  std::vector<std::shared_ptr<EncodedBlock>> free_;
+};
+
 /// Encode `n` values. Deterministic (round-to-nearest-even throughout).
+/// When `reps` is non-null it also receives the wire representatives, the
+/// values decode_block would write, in the same pass; it may alias `x`.
+/// `out` may be a recycled block of any codec and size: every field is
+/// rewritten, and its vectors keep their capacity. q8/q6/q4 full groups
+/// run SSE2 kernels that match encode_block_reference bit for bit.
 void encode_block(const float* x, std::size_t n, WireCodec c,
-                  EncodedBlock& out);
+                  EncodedBlock& out, float* reps = nullptr);
+/// The plain scalar loop encode_block is defined by (parity reference).
+void encode_block_reference(const float* x, std::size_t n, WireCodec c,
+                            EncodedBlock& out, float* reps = nullptr);
 /// Decode into out[0..e.n): the wire representatives.
 void decode_block(const EncodedBlock& e, float* out);
 /// In-place encode+decode convenience (tests, trainer compressor).

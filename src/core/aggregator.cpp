@@ -236,6 +236,7 @@ void Aggregator::recycle_packet(net::MessagePtr& pkt) {
     if (rp != nullptr) {
       for (ColumnBlock& cb : rp->columns) {
         if (cb.data.capacity() > 0) block_pool_.push_back(std::move(cb.data));
+        enc_pool_.release(cb.enc);
       }
       rp->columns.clear();  // keeps capacity; data buffers already moved out
       pkt.reset();
@@ -290,10 +291,9 @@ net::MessagePtr Aggregator::emit_result(
     if (cfg_.codec.enabled()) {
       // The result leg is encoded too: workers reconstruct the encoded
       // representatives, so the packet carries exactly what they will see.
-      auto enc = std::make_shared<compress::EncodedBlock>();
+      std::shared_ptr<compress::EncodedBlock> enc = enc_pool_.acquire();
       compress::encode_block(cb.data.data(), cb.data.size(),
-                             cfg_.codec.codec, *enc);
-      compress::decode_block(*enc, cb.data.data());
+                             cfg_.codec.codec, *enc, cb.data.data());
       const std::size_t raw = cb.data.size() * cfg_.value_bytes;
       const std::size_t wire = enc->payload_bytes();
       if (raw > wire) codec_saved_bytes_ += raw - wire;

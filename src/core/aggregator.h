@@ -171,7 +171,8 @@ class Aggregator final : public net::Endpoint {
   /// Pop a recycled ResultPacket (or allocate one when the pool is dry).
   std::shared_ptr<ResultPacket> acquire_result();
   /// Reclaim a retired result packet when we are the sole owner: block
-  /// buffers refill the pool and the packet object is reused.
+  /// buffers and encoded blocks refill their pools and the packet object
+  /// is reused.
   void recycle_packet(net::MessagePtr& pkt);
   /// Build + multicast the round's result; advances cur and detects stream
   /// completion. `requests` are per-column global minima; `slot` holds the
@@ -191,6 +192,7 @@ class Aggregator final : public net::Endpoint {
   bool codec_fold_ = false;
   std::vector<std::vector<float>> block_pool_;  // recycled result buffers
   std::vector<std::shared_ptr<ResultPacket>> result_pool_;  // recycled packets
+  compress::EncodedBlockPool enc_pool_;  // recycled result-leg encodings
   std::vector<tensor::BlockIndex> requests_scratch_;  // per-packet work table
   telemetry::Tracer* tracer_ = nullptr;
   std::int32_t pid_ = 0;

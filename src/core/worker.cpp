@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/faults.h"
+#include "tensor/kernels.h"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -162,22 +163,30 @@ void Worker::encode_column(std::size_t stream, ColumnBlock& cb) {
                                ? std::min(n, codec_residual_.size() - lo)
                                : 0;
   if (cfg_.codec.error_feedback) {
-    for (std::size_t i = 0; i < live; ++i) cb.data[i] += codec_residual_[lo + i];
+    tensor::kernels::add(cb.data.data(), codec_residual_.data() + lo, live);
   }
-  auto enc = std::make_shared<compress::EncodedBlock>();
-  compress::encode_block(cb.data.data(), n, cfg_.codec.codec, *enc);
+  std::shared_ptr<compress::EncodedBlock> enc = enc_pool_.acquire();
   codec_scratch_.resize(n);
-  compress::decode_block(*enc, codec_scratch_.data());
+  compress::encode_block(cb.data.data(), n, cfg_.codec.codec, *enc,
+                         codec_scratch_.data());
   const std::size_t raw = n * cfg_.value_bytes;
   const std::size_t wire = enc->payload_bytes();
   if (raw > wire) codec_saved_bytes_ += raw - wire;
+  // The quantization error, in place over the input. The squared sum stays
+  // in element order, one dependent double add each: codec_residual_l2 is
+  // pinned bit for bit.
+  float* err = cb.data.data();
+  tensor::kernels::sub(err, codec_scratch_.data(), n);
+  double sq = codec_residual_sq_;
   for (std::size_t i = 0; i < n; ++i) {
-    const float err = cb.data[i] - codec_scratch_[i];
-    codec_residual_sq_ += static_cast<double>(err) * err;
-    if (cfg_.codec.error_feedback && i < live) codec_residual_[lo + i] = err;
+    sq += static_cast<double>(err[i]) * err[i];
+  }
+  codec_residual_sq_ = sq;
+  if (cfg_.codec.error_feedback) {
+    std::copy(err, err + live, codec_residual_.data() + lo);
   }
   // The wire carries `enc`; everyone downstream sees the representatives.
-  std::copy(codec_scratch_.begin(), codec_scratch_.end(), cb.data.begin());
+  cb.data.swap(codec_scratch_);
   cb.enc = std::move(enc);
 }
 
@@ -198,16 +207,18 @@ std::shared_ptr<DataPacket> Worker::acquire_packet() {
 void Worker::recycle_packet(net::MessagePtr& pkt) {
   // Reclaim a packet we are the sole owner of (the usual case once its
   // result has arrived: the network and aggregator have released their
-  // references): its block buffers refill block_pool_ and the packet
-  // object itself — control block, columns and next vectors — is reused
-  // for the next round's send. Shared packets — e.g. a duplicate still in
-  // flight under Algorithm 2 — are simply dropped.
+  // references): its block buffers refill block_pool_, its encoded blocks
+  // enc_pool_, and the packet object itself — control block, columns and
+  // next vectors — is reused for the next round's send. Shared packets —
+  // e.g. a duplicate still in flight under Algorithm 2 — are simply
+  // dropped.
   if (pkt != nullptr && pkt.use_count() == 1) {
     auto dp = std::const_pointer_cast<DataPacket>(
         std::dynamic_pointer_cast<const DataPacket>(pkt));
     if (dp != nullptr) {
       for (ColumnBlock& cb : dp->columns) {
         if (cb.data.capacity() > 0) block_pool_.push_back(std::move(cb.data));
+        enc_pool_.release(cb.enc);
       }
       dp->columns.clear();  // keeps capacity; data buffers already moved out
       pkt.reset();

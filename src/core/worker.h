@@ -194,7 +194,8 @@ class Worker final : public net::Endpoint {
 
   // Wire-codec state (untouched when cfg_.codec is disabled).
   std::vector<float> codec_residual_;  // error-feedback carry, tensor-sized
-  std::vector<float> codec_scratch_;   // decode buffer for encode_column
+  std::vector<float> codec_scratch_;   // representatives for encode_column
+  compress::EncodedBlockPool enc_pool_;  // recycled data-leg encodings
   sim::Time pending_rx_cost_ = 0;  // result-decode cost charged to next tx
   sim::Time codec_tail_ = 0;       // final-result decode past protocol end
   std::uint64_t codec_saved_bytes_ = 0;

@@ -151,12 +151,15 @@ class EventFn {
 ///    near-future window [wheel_base, wheel_base + kWheelSize). Scheduling
 ///    into the window and popping from it are O(1): an append to the
 ///    bucket plus one bit in an occupancy bitmap, scanned with countr_zero.
-///    Nearly all steady-state events (message deliveries, deferred sends,
-///    retransmission timers) land here.
+///    Only events due within 16.4 us of the window base land here directly:
+///    on the repository benchmark's workloads, 7-42% of enqueues (none on
+///    zoo_rotation; docs/PERFORMANCE.md has the measured shares).
 ///  - Events beyond the window go to an index-addressable binary heap and
 ///    migrate into the wheel exactly once, when the window advances past
 ///    their bucket (the wheel never revolves: the base jumps straight to
-///    the earliest far event's window when the wheel drains).
+///    the earliest far event's window when the wheel drains). Most events
+///    take this path: 54-100% of enqueues are scheduled more than 16.4 us
+///    ahead, which makes sift_down the queue's hot spot.
 ///
 /// cancel(id) is O(1) for wheel events (the bucket entry dies by a
 /// generation check when the cursor reaches it — bloat is bounded by the
@@ -237,10 +240,9 @@ class Simulator {
   bool idle() const { return pending_ == 0; }
 
  private:
-  /// Wheel geometry: kWheelSize buckets of 1 ns. 16 us of horizon covers
-  /// every steady-state delay in the simulated protocols (NIC serialization,
-  /// fabric latency, retransmission timeouts); only coarse device-model
-  /// deadlines overflow to the far heap.
+  /// Wheel geometry: kWheelSize buckets of 1 ns, a 16.4 us window. Most
+  /// steady-state delays are longer than that, so most events are first
+  /// scheduled into the far heap, not the wheel (see the class comment).
   static constexpr std::size_t kWheelBits = 14;
   static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
   static constexpr std::size_t kWheelMask = kWheelSize - 1;

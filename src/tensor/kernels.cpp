@@ -29,6 +29,21 @@ void add(float* dst, const float* src, std::size_t n) {
   for (; i < n; ++i) dst[i] += src[i];
 }
 
+void sub(float* dst, const float* src, std::size_t n) {
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  // subps rounds each lane exactly like the scalar subss (see add).
+  for (; i + 8 <= n; i += 8) {
+    const __m128 lo = _mm_sub_ps(_mm_loadu_ps(dst + i), _mm_loadu_ps(src + i));
+    const __m128 hi =
+        _mm_sub_ps(_mm_loadu_ps(dst + i + 4), _mm_loadu_ps(src + i + 4));
+    _mm_storeu_ps(dst + i, lo);
+    _mm_storeu_ps(dst + i + 4, hi);
+  }
+#endif
+  for (; i < n; ++i) dst[i] -= src[i];
+}
+
 double max_abs(const float* p, std::size_t n) {
   float m = 0.0f;
   std::size_t i = 0;

@@ -12,6 +12,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -190,6 +193,257 @@ TEST(WireCodec, IncompatibleContributionsDeactivateTheAccumulator) {
   EXPECT_TRUE(acc.fold(&ea));
   EXPECT_FALSE(acc.fold(nullptr));  // raw fp32 contribution
   EXPECT_FALSE(acc.active);
+}
+
+// --- fp16 metadata rounding ------------------------------------------------
+
+TEST(Fp16Round, HalfSubnormalsKeepTheirValue) {
+  // Multiples of 2^-24 below 2^-14 are exact half subnormals.
+  EXPECT_EQ(compress::fp16_round(std::ldexp(1.0f, -15)), std::ldexp(1.0f, -15));
+  EXPECT_EQ(compress::fp16_round(std::ldexp(1.0f, -24)), std::ldexp(1.0f, -24));
+  EXPECT_EQ(compress::fp16_round(-std::ldexp(1.0f, -20)),
+            -std::ldexp(1.0f, -20));
+  EXPECT_EQ(compress::fp16_round(std::ldexp(1023.0f, -24)),
+            std::ldexp(1023.0f, -24));
+  // 3e-6 = 50.33 steps of 2^-24: rounds to the nearest step.
+  EXPECT_EQ(compress::fp16_round(3e-6f), std::ldexp(50.0f, -24));
+}
+
+TEST(Fp16Round, HalfSubnormalTiesRoundToEven) {
+  // 2^-25 is half a step: the tie goes to the even neighbour, 0; anything
+  // above it reaches 2^-24.
+  EXPECT_EQ(compress::fp16_round(std::ldexp(1.0f, -25)), 0.0f);
+  EXPECT_EQ(compress::fp16_round(std::nextafter(std::ldexp(1.0f, -25), 1.0f)),
+            std::ldexp(1.0f, -24));
+  EXPECT_EQ(compress::fp16_round(std::ldexp(3.0f, -25)),  // 1.5 steps -> 2
+            std::ldexp(2.0f, -24));
+  // 1023.5 steps: the tie rounds the odd code 0x3ff up, and the carry
+  // lands on the smallest half normal, 2^-14.
+  EXPECT_EQ(compress::fp16_round(std::ldexp(2047.0f, -25)),
+            std::ldexp(1.0f, -14));
+  EXPECT_EQ(compress::fp16_round(std::ldexp(2045.0f, -25)),  // 1022.5 -> 1022
+            std::ldexp(1022.0f, -24));
+}
+
+TEST(WireCodec, SmallRangeGroupRespectsErrorBound) {
+  // A 32-element group on [0, 1e-4]: its q8 scale (~3.9e-7) is a half
+  // subnormal, which the encoder must keep rather than flush to 0 (a zero
+  // scale decodes the whole group to its min, an error of the full range).
+  std::vector<float> x(kCodecGroup);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 1e-4f * static_cast<float>(i) / static_cast<float>(x.size() - 1);
+  }
+  for (WireCodec c : {WireCodec::kQ8, WireCodec::kQ6, WireCodec::kQ4}) {
+    SCOPED_TRACE(compress::codec_name(c));
+    EncodedBlock e;
+    compress::encode_block(x.data(), x.size(), c, e);
+    EXPECT_GT(e.scale[0], 0.0f);
+    std::vector<float> y(x.size());
+    compress::decode_block(e, y.data());
+    const double bound = compress::codec_rel_error_bound(c) * 1e-4;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_LE(std::fabs(static_cast<double>(x[i]) - y[i]), bound)
+          << "element " << i;
+    }
+  }
+}
+
+// --- SSE2 kernels vs the scalar reference ----------------------------------
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Every field of `got` equals `want`, floats compared by bit pattern (so
+/// NaN payloads and the sign of zero count).
+void expect_same_encoding(const EncodedBlock& got, const EncodedBlock& want) {
+  EXPECT_EQ(got.codec, want.codec);
+  EXPECT_EQ(got.n, want.n);
+  EXPECT_TRUE(same_bits(got.scale, want.scale));
+  EXPECT_TRUE(same_bits(got.zero, want.zero));
+  EXPECT_EQ(got.q, want.q);
+  EXPECT_TRUE(same_bits(got.fp, want.fp));
+}
+
+/// encode_block and encode_block_reference agree bit for bit on `x`, and
+/// the one-pass representatives equal what decode_block writes.
+void expect_parity(const std::vector<float>& x, WireCodec c) {
+  const std::size_t n = x.size();
+  EncodedBlock fast, ref;
+  std::vector<float> fast_reps(n), ref_reps(n), decoded(n);
+  compress::encode_block(x.data(), n, c, fast, fast_reps.data());
+  compress::encode_block_reference(x.data(), n, c, ref, ref_reps.data());
+  expect_same_encoding(fast, ref);
+  EXPECT_TRUE(same_bits(fast_reps, ref_reps));
+  compress::decode_block(fast, decoded.data());
+  EXPECT_TRUE(same_bits(decoded, fast_reps));
+  // In place: the representatives may overwrite the input.
+  std::vector<float> inplace = x;
+  EncodedBlock again;
+  compress::encode_block(inplace.data(), n, c, again, inplace.data());
+  expect_same_encoding(again, ref);
+  EXPECT_TRUE(same_bits(inplace, ref_reps));
+}
+
+const WireCodec kIntCodecs[] = {WireCodec::kQ8, WireCodec::kQ6,
+                                WireCodec::kQ4};
+
+TEST(CodecKernels, MatchTheScalarReferenceAtEverySize) {
+  sim::Rng rng(301);
+  for (std::size_t n : {0, 1, 31, 32, 33, 256, 257, 4099}) {
+    const std::vector<float> x = random_values(n, 3.7, rng);
+    for (WireCodec c : kAllCodecs) {
+      SCOPED_TRACE(std::string(compress::codec_name(c)) + " n=" +
+                   std::to_string(n));
+      expect_parity(x, c);
+    }
+  }
+}
+
+TEST(CodecKernels, MatchTheScalarReferenceOnConstantGroups) {
+  // Scale 0 (every code 0), and constants whose fp16 zero point rounds
+  // above them, which makes the scale negative.
+  for (float v : {0.0f, -0.0f, 1.25f, -3.0f, 0.99999f, -1.0001f, 1e-30f}) {
+    const std::vector<float> x(96, v);
+    for (WireCodec c : kIntCodecs) {
+      SCOPED_TRACE(std::string(compress::codec_name(c)) + " v=" +
+                   std::to_string(v));
+      expect_parity(x, c);
+    }
+  }
+}
+
+TEST(CodecKernels, KeepTheScalarSignOfAZeroMinOrMax) {
+  // std::min/std::max keep the first of equal values, so the sign of a
+  // zero min or max depends on where each zero sits in the group.
+  sim::Rng rng(11);
+  for (std::size_t pos : {0, 1, 5, 17, 31}) {
+    for (float first : {0.0f, -0.0f}) {
+      std::vector<float> pos_group(kCodecGroup), neg_group(kCodecGroup);
+      for (std::size_t i = 0; i < kCodecGroup; ++i) {
+        pos_group[i] = 1.0f + rng.next_float(0.0f, 1.0f);
+        neg_group[i] = -pos_group[i];
+      }
+      for (std::vector<float>* g : {&pos_group, &neg_group}) {
+        (*g)[pos] = first;
+        (*g)[(pos + 7) % kCodecGroup] = -first;
+        (*g)[(pos + 13) % kCodecGroup] = first;
+      }
+      std::vector<float> mixed(kCodecGroup, first);
+      mixed[pos] = -first;
+      for (WireCodec c : kIntCodecs) {
+        SCOPED_TRACE(std::string(compress::codec_name(c)) + " pos=" +
+                     std::to_string(pos));
+        expect_parity(pos_group, c);
+        expect_parity(neg_group, c);
+        expect_parity(mixed, c);
+      }
+    }
+  }
+}
+
+TEST(CodecKernels, MatchTheScalarReferenceOnNanAndInfinities) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  sim::Rng rng(12);
+  for (float special : {nan, -nan, inf, -inf}) {
+    for (std::size_t pos : {0, 1, 3, 4, 16, 31}) {
+      std::vector<float> x = random_values(2 * kCodecGroup, 2.0, rng);
+      x[pos] = special;                 // first group
+      x[kCodecGroup + pos] = special;   // second group
+      if (pos != 0) x[kCodecGroup] = -special;
+      for (WireCodec c : kAllCodecs) {
+        SCOPED_TRACE(std::string(compress::codec_name(c)) + " pos=" +
+                     std::to_string(pos) + " v=" + std::to_string(special));
+        expect_parity(x, c);
+      }
+    }
+  }
+}
+
+TEST(CodecKernels, MatchTheScalarReferenceOnDenormalsAndClampEnds) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float fmax = std::numeric_limits<float>::max();
+  sim::Rng rng(13);
+  std::vector<std::vector<float>> cases;
+  // Denormal-only groups and denormals beside normals.
+  std::vector<float> d(kCodecGroup);
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    d[i] = denorm * static_cast<float>(i * 977 % 4096) * (i % 3 ? 1.f : -1.f);
+  }
+  cases.push_back(d);
+  d[9] = 1e-3f;
+  cases.push_back(d);
+  // Ranges past the largest fp16 scale (65504 * levels): codes clamp at
+  // levels, and quotients past 2^31 (or infinite) code as 0.
+  for (float hi : {1e7f, 1.7e7f, 3e9f, 1e20f, 1e30f, fmax}) {
+    std::vector<float> x = random_values(kCodecGroup, 1.0, rng);
+    x[3] = hi;
+    x[20] = -hi;
+    x[27] = hi * 0.5f;
+    cases.push_back(x);
+  }
+  // Quotients landing on half-integers (round-to-even ties).
+  std::vector<float> ties(kCodecGroup);
+  for (std::size_t i = 0; i < ties.size(); ++i) {
+    ties[i] = static_cast<float>(i) * 0.5f;
+  }
+  ties[0] = 0.0f;
+  ties[1] = 255.0f;
+  cases.push_back(ties);
+  for (const auto& x : cases) {
+    for (WireCodec c : kIntCodecs) {
+      SCOPED_TRACE(compress::codec_name(c));
+      expect_parity(x, c);
+    }
+  }
+}
+
+TEST(CodecKernels, RecycledBlockEncodesLikeAFreshOne) {
+  // One block reused across codecs and sizes, long to short and back: any
+  // stale group, code or fp8 value would show as a field mismatch.
+  sim::Rng rng(14);
+  const std::vector<float> x = random_values(4099, 5.0, rng);
+  struct Step {
+    WireCodec codec;
+    std::size_t n;
+  };
+  const Step steps[] = {{WireCodec::kFp8, 4099}, {WireCodec::kQ8, 4099},
+                        {WireCodec::kQ4, 257},   {WireCodec::kFp8, 33},
+                        {WireCodec::kQ6, 4099},  {WireCodec::kQ8, 1},
+                        {WireCodec::kNone, 64},  {WireCodec::kQ8, 0},
+                        {WireCodec::kQ4, 256}};
+  EncodedBlock pooled;
+  for (const Step& st : steps) {
+    SCOPED_TRACE(std::string(compress::codec_name(st.codec)) + " n=" +
+                 std::to_string(st.n));
+    std::vector<float> pooled_reps(st.n), fresh_reps(st.n);
+    compress::encode_block(x.data(), st.n, st.codec, pooled,
+                           pooled_reps.data());
+    EncodedBlock fresh;
+    compress::encode_block_reference(x.data(), st.n, st.codec, fresh,
+                                     fresh_reps.data());
+    expect_same_encoding(pooled, fresh);
+    if (st.codec != WireCodec::kNone) {
+      EXPECT_TRUE(same_bits(pooled_reps, fresh_reps));
+    }
+  }
+}
+
+TEST(CodecKernels, PoolReusesOnlySoleOwnedBlocks) {
+  compress::EncodedBlockPool pool;
+  std::shared_ptr<EncodedBlock> a = pool.acquire();
+  const EncodedBlock* a_addr = a.get();
+  std::shared_ptr<const EncodedBlock> held = a;  // e.g. still on the wire
+  std::shared_ptr<const EncodedBlock> ret = std::move(a);
+  pool.release(ret);
+  EXPECT_EQ(ret, nullptr);
+  EXPECT_NE(pool.acquire().get(), a_addr);  // shared: not pooled
+  ret = std::move(held);
+  pool.release(ret);
+  EXPECT_EQ(pool.acquire().get(), a_addr);  // sole owner: recycled
 }
 
 struct RunSetup {

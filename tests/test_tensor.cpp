@@ -122,10 +122,10 @@ std::vector<float> kernel_values(std::size_t n, std::uint64_t seed,
 const std::size_t kKernelSizes[] = {0,   1,   3,   4,   5,          7,
                                     8,   255, 256, 257, (1u << 20) + 3};
 
-/// `got` is bit-equal to `want`, both a + b. When a and b are both NaN the
-/// scalar loop's result payload depends on the operand order the compiler
-/// picked (addss returns its first operand's), so either quieted payload
-/// is accepted there.
+/// `got` is bit-equal to `want`, both a + b (or both a - b). When a and b
+/// are both NaN the scalar loop's result payload depends on the operand
+/// order the compiler picked (addss/subss return their first operand's),
+/// so either quieted payload is accepted there.
 ::testing::AssertionResult same_sum(float got, float want, float a, float b) {
   constexpr std::uint32_t kQuiet = 0x00400000u;
   if (to_bits(got) == to_bits(want)) return ::testing::AssertionSuccess();
@@ -157,6 +157,21 @@ TEST(Kernels, AddIsBitEqualToTheScalarLoop) {
     std::vector<float> want = dst;
     for (std::size_t i = 0; i < n; ++i) want[i] += src[i];
     kernels::add(dst.data(), src.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(same_sum(dst[i], want[i], before[i], src[i]))
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(Kernels, SubIsBitEqualToTheScalarLoop) {
+  for (std::size_t n : kKernelSizes) {
+    std::vector<float> dst = kernel_values(n, 13 + n);
+    const std::vector<float> src = kernel_values(n, 29 + n);
+    const std::vector<float> before = dst;
+    std::vector<float> want = dst;
+    for (std::size_t i = 0; i < n; ++i) want[i] -= src[i];
+    kernels::sub(dst.data(), src.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_TRUE(same_sum(dst[i], want[i], before[i], src[i]))
           << "n=" << n << " i=" << i;
