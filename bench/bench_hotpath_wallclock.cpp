@@ -22,12 +22,15 @@
 #include <string>
 #include <vector>
 
-#include "core/cluster.h"
+#include "baselines/zoo.h"
 #include "compress/wire_codec.h"
+#include "core/algorithm.h"
+#include "core/cluster.h"
 #include "core/engine.h"
 #include "core/session.h"
 #include "core/sparse_kv.h"
 #include "core/verify.h"
+#include "ddl/workloads.h"
 #include "runner/sweep.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -428,6 +431,108 @@ Result bench_kv_allreduce(bool smoke, int repeats) {
   return res;
 }
 
+// --- algorithm zoo on NCF steps (perfbench zoo_rotation's inputs) ---------
+//
+// Every repeat runs its inner loop for at least ~20 ms, so that a code-layout
+// shift cannot move the ratio the way it moves a sub-millisecond micro.
+
+std::vector<omr::tensor::DenseTensor> ncf_step(bool smoke) {
+  omr::sim::Rng rng(42);
+  return omr::ddl::sample_gradients(omr::ddl::workload("NCF"), 8,
+                                    smoke ? (1u << 16) : (1u << 18), rng);
+}
+
+/// `inner` registry runs of `algo` (unverified) per repeat, each on a
+/// fresh copy of one NCF step: the baseline's whole host data path.
+Result bench_zoo(const char* name, const char* algo, int inner, bool smoke,
+                 int repeats) {
+  omr::baselines::register_zoo();
+  const auto step = ncf_step(smoke);
+  const auto cfg =
+      omr::core::Config::for_transport(omr::core::Transport::kRdma);
+  auto cluster = omr::core::ClusterSpec::dedicated(4);
+  cluster.fabric.seed = 7;
+  std::vector<double> times;
+  omr::core::RunStats stats;
+  for (int r = 0; r < repeats; ++r) {
+    double ms = 0.0;
+    for (int i = 0; i < inner; ++i) {
+      auto tensors = step;
+      const auto t0 = Clock::now();
+      stats = omr::core::run_collective(algo, tensors, cfg, cluster,
+                                        /*verify=*/false);
+      ms += ms_since(t0);
+    }
+    times.push_back(ms);
+  }
+  Result res;
+  res.name = name;
+  res.kind = "e2e";
+  res.wall_ms = median(times);
+  res.work_units = static_cast<double>(step.size() * step.front().size()) *
+                   inner;
+  res.unit = "elements";
+  res.has_sim = true;
+  res.sim_completion_ns = static_cast<std::uint64_t>(stats.completion_time);
+  res.sim_total_messages = stats.total_messages;
+  return res;
+}
+
+/// Left fold of the eight workers' COO tensors, as AGsparse reduces.
+Result bench_coo_add_ncf(bool smoke, int repeats) {
+  std::vector<omr::tensor::CooTensor> coo;
+  for (const auto& t : ncf_step(smoke)) {
+    coo.push_back(omr::tensor::dense_to_coo(t));
+  }
+  const int inner = smoke ? 4 : 32;
+  std::vector<double> times;
+  std::size_t pairs = 0, sink = 0;
+  for (const auto& c : coo) pairs += c.nnz();
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < inner; ++i) {
+      omr::tensor::CooTensor acc = coo.front();
+      for (std::size_t w = 1; w < coo.size(); ++w) {
+        acc = omr::tensor::coo_add(acc, coo[w]);
+      }
+      sink += acc.nnz();
+    }
+    times.push_back(ms_since(t0));
+  }
+  if (sink == 0 && pairs != 0) std::fprintf(stderr, "empty merge\n");
+  Result res;
+  res.name = "coo_add_ncf";
+  res.kind = "micro";
+  res.wall_ms = median(times);
+  res.work_units = static_cast<double>(pairs) * inner;
+  res.unit = "pairs";
+  return res;
+}
+
+/// Dense -> COO of the eight workers' NCF tensors.
+Result bench_dense_to_coo_ncf(bool smoke, int repeats) {
+  const auto step = ncf_step(smoke);
+  const int inner = smoke ? 4 : 32;
+  std::vector<double> times;
+  std::size_t sink = 0;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < inner; ++i) {
+      for (const auto& t : step) sink += omr::tensor::dense_to_coo(t).nnz();
+    }
+    times.push_back(ms_since(t0));
+  }
+  if (sink == 0) std::fprintf(stderr, "no non-zeros\n");
+  Result res;
+  res.name = "dense_to_coo_ncf";
+  res.kind = "micro";
+  res.wall_ms = median(times);
+  res.work_units =
+      static_cast<double>(step.size() * step.front().size()) * inner;
+  res.unit = "elements";
+  return res;
+}
+
 // --- fig04-style dense-engine allreduce ------------------------------------
 
 Result bench_e2e_allreduce(const char* name, omr::core::Transport transport,
@@ -593,6 +698,16 @@ int main(int argc, char** argv) {
       {"codec_encode_q8", bench_codec_encode_q8},
       {"codec_decode_q8", bench_codec_decode_q8},
       {"kv_allreduce", bench_kv_allreduce},
+      {"coo_add_ncf", bench_coo_add_ncf},
+      {"dense_to_coo_ncf", bench_dense_to_coo_ncf},
+      {"zoo_ps_sparse_ncf",
+       [](bool s, int r) {
+         return bench_zoo("zoo_ps_sparse_ncf", "ps_sparse", s ? 2 : 16, s, r);
+       }},
+      {"zoo_sketch_ncf",
+       [](bool s, int r) {
+         return bench_zoo("zoo_sketch_ncf", "sketch", s ? 1 : 2, s, r);
+       }},
       {"e2e_rdma_s90",
        [](bool s, int r) {
          return bench_e2e_allreduce("e2e_rdma_s90",

@@ -139,7 +139,7 @@ sim::Time detail::ring_allgather_bytes(
 
 BaselineStats detail::agsparse_allreduce(
     const std::vector<tensor::CooTensor>& inputs,
-    std::vector<tensor::CooTensor>& outputs, const BaselineConfig& cfg,
+    tensor::CooTensor& result, const BaselineConfig& cfg,
     AgStack stack, double reduce_mem_bandwidth_Bps, bool verify,
     bool compress_indices) {
   if (inputs.empty()) throw std::invalid_argument("no workers");
@@ -173,14 +173,15 @@ BaselineStats detail::agsparse_allreduce(
   // Local reduction: merge N sorted COO lists (read everything once, write
   // the union), memory-bandwidth bound. Performed after communication —
   // AGsparse does not overlap the two (§2.1).
-  tensor::CooTensor merged = inputs.front();
-  for (std::size_t w = 1; w < n; ++w) merged = tensor::coo_add(merged, inputs[w]);
+  result = inputs.front();
+  for (std::size_t w = 1; w < n; ++w) {
+    result = tensor::coo_add(result, inputs[w]);
+  }
   const double merge_bytes =
-      static_cast<double>(total_pairs + merged.nnz()) * 8.0;
+      static_cast<double>(total_pairs + result.nnz()) * 8.0;
   stats.completion_time +=
       sim::from_seconds(merge_bytes / reduce_mem_bandwidth_Bps);
 
-  outputs.assign(n, merged);
   stats.verified = verify;
   return stats;
 }

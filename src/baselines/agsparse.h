@@ -20,14 +20,15 @@ namespace detail {
 /// AllGather-based sparse AllReduce (PyTorch's strawman, §2.1): every
 /// worker ring-allgathers all (key, value) pairs, then reduces locally.
 /// Memory and time scale with N * nnz — no overlap elimination. Inputs are
-/// COO; `outputs[w]` receives the reduced sparse tensor. The optional
+/// COO; `result` receives the reduced sparse tensor every worker ends up
+/// holding (one copy: the workers' copies are identical). The optional
 /// local-reduction cost is charged at memory bandwidth.
 /// With `compress_indices`, each worker's index list is sent in the
 /// cheaper of raw-key or bitmask form (tensor/index_codec.h) — the [60]
 /// optimization; it shrinks payloads at moderate sparsity but cannot fix
 /// AGsparse's N-fold gather volume.
 BaselineStats agsparse_allreduce(const std::vector<tensor::CooTensor>& inputs,
-                                 std::vector<tensor::CooTensor>& outputs,
+                                 tensor::CooTensor& result,
                                  const BaselineConfig& cfg,
                                  AgStack stack = AgStack::kNccl,
                                  double reduce_mem_bandwidth_Bps = 12e9,

@@ -209,6 +209,12 @@ BaselineStats detail::ps_dense_allreduce(
 
 namespace {
 
+/// First key of shard s when [0, dim) is split over k servers; shard s
+/// owns [shard_lo(dim, s, k), shard_lo(dim, s + 1, k)).
+std::int32_t shard_lo(std::size_t dim, std::size_t s, std::size_t k) {
+  return static_cast<std::int32_t>(dim * s / k);
+}
+
 struct SparsePush final : net::Message {
   std::uint32_t wid = 0;
   bool last_of_flow = false;
@@ -230,11 +236,14 @@ struct SparsePull final : net::Message {
   }
 };
 
+/// One sparse-PS shard: owns keys [lo, hi), sums every worker's pushes
+/// in a flat accumulator and pulls the merged range back in ascending key
+/// order once every worker's flow has ended.
 class SparsePsServer final : public net::Endpoint {
  public:
   SparsePsServer(net::Network& net, const BaselineConfig& cfg,
-                 std::size_t n_workers)
-      : net_(net), cfg_(cfg), n_workers_(n_workers) {}
+                 std::size_t n_workers, std::int32_t lo, std::int32_t hi)
+      : net_(net), cfg_(cfg), n_workers_(n_workers), acc_(lo, hi) {}
   void bind(net::EndpointId self, std::vector<net::EndpointId> workers) {
     self_ = self;
     workers_ = std::move(workers);
@@ -243,44 +252,39 @@ class SparsePsServer final : public net::Endpoint {
                   const net::MessagePtr& msg) override {
     const auto* p = dynamic_cast<const SparsePush*>(msg.get());
     if (p == nullptr) throw std::logic_error("unexpected sparse PS message");
-    for (std::size_t i = 0; i < p->keys.size(); ++i) {
-      acc_[p->keys[i]] += p->values[i];
-    }
-    if (p->last_of_flow && ++flows_done_ == n_workers_) {
-      // Push the merged range back to every worker, chunked.
-      std::vector<std::int32_t> keys;
-      std::vector<float> values;
-      keys.reserve(acc_.size());
-      values.reserve(acc_.size());
-      for (const auto& [k, v] : acc_) {
-        keys.push_back(k);
-        values.push_back(v);
-      }
-      const std::size_t chunk = cfg_.chunk_elements;
-      std::size_t off = 0;
-      do {
-        const std::size_t end = std::min(off + chunk, keys.size());
-        auto r = std::make_shared<SparsePull>();
-        r->header_bytes = cfg_.header_bytes;
-        r->keys.assign(keys.begin() + static_cast<std::ptrdiff_t>(off),
-                       keys.begin() + static_cast<std::ptrdiff_t>(end));
-        r->values.assign(values.begin() + static_cast<std::ptrdiff_t>(off),
-                         values.begin() + static_cast<std::ptrdiff_t>(end));
-        r->last_of_flow = end >= keys.size();
-        net::MessagePtr shared = r;
-        for (net::EndpointId w : workers_) net_.send(self_, w, shared);
-        off = end;
-      } while (off < keys.size());
-    }
+    acc_.add(p->keys.data(), p->values.data(), p->keys.size());
+    if (p->last_of_flow && ++flows_done_ == n_workers_) pull();
   }
 
  private:
+  /// Push the merged range back to every worker, chunked.
+  void pull() {
+    std::vector<std::int32_t> keys;
+    std::vector<float> values;
+    acc_.emit(keys, values);
+    const std::size_t chunk = cfg_.chunk_elements;
+    std::size_t off = 0;
+    do {
+      const std::size_t end = std::min(off + chunk, keys.size());
+      auto r = std::make_shared<SparsePull>();
+      r->header_bytes = cfg_.header_bytes;
+      r->keys.assign(keys.begin() + static_cast<std::ptrdiff_t>(off),
+                     keys.begin() + static_cast<std::ptrdiff_t>(end));
+      r->values.assign(values.begin() + static_cast<std::ptrdiff_t>(off),
+                       values.begin() + static_cast<std::ptrdiff_t>(end));
+      r->last_of_flow = end >= keys.size();
+      net::MessagePtr shared = r;
+      for (net::EndpointId w : workers_) net_.send(self_, w, shared);
+      off = end;
+    } while (off < keys.size());
+  }
+
   net::Network& net_;
   BaselineConfig cfg_;
   std::size_t n_workers_;
+  tensor::CooShardAccumulator acc_;
   net::EndpointId self_ = -1;
   std::vector<net::EndpointId> workers_;
-  std::map<std::int32_t, float> acc_;
   std::size_t flows_done_ = 0;
 };
 
@@ -290,9 +294,7 @@ class SparsePsWorker final : public net::Endpoint {
                  std::uint32_t wid, const tensor::CooTensor& input,
                  std::size_t dim)
       : net_(net), sim_(net.simulator()), cfg_(cfg), wid_(wid), input_(input),
-        dim_(dim) {
-    result_.dim = dim;
-  }
+        dim_(dim) {}
   void bind(net::EndpointId self, std::vector<net::EndpointId> servers) {
     self_ = self;
     servers_ = std::move(servers);
@@ -301,8 +303,8 @@ class SparsePsWorker final : public net::Endpoint {
   void start() {
     const std::size_t k = servers_.size();
     for (std::size_t s = 0; s < k; ++s) {
-      const auto lo = static_cast<std::int32_t>(dim_ * s / k);
-      const auto hi = static_cast<std::int32_t>(dim_ * (s + 1) / k);
+      const std::int32_t lo = shard_lo(dim_, s, k);
+      const std::int32_t hi = shard_lo(dim_, s + 1, k);
       const auto begin = std::lower_bound(input_.keys.begin(),
                                           input_.keys.end(), lo);
       const auto end = std::lower_bound(input_.keys.begin(),
@@ -328,15 +330,37 @@ class SparsePsWorker final : public net::Endpoint {
   }
   bool done() const { return flows_remaining_ == 0; }
   sim::Time finish_time() const { return finish_; }
-  const tensor::CooTensor& result() const { return result_; }
+  /// The reduced tensor from the pulled chunks. Each chunk is an ascending
+  /// run of one shard's keys and no two runs overlap, so ordering the
+  /// chunks by their first key orders the result.
+  tensor::CooTensor result() const {
+    std::vector<const SparsePull*> chunks;
+    std::size_t nnz = 0;
+    for (const net::MessagePtr& m : pulled_) {
+      const auto& r = static_cast<const SparsePull&>(*m);
+      if (r.keys.empty()) continue;
+      chunks.push_back(&r);
+      nnz += r.keys.size();
+    }
+    std::sort(chunks.begin(), chunks.end(), [](const auto* a, const auto* b) {
+      return a->keys.front() < b->keys.front();
+    });
+    tensor::CooTensor out;
+    out.dim = dim_;
+    out.keys.reserve(nnz);
+    out.values.reserve(nnz);
+    for (const SparsePull* r : chunks) {
+      out.keys.insert(out.keys.end(), r->keys.begin(), r->keys.end());
+      out.values.insert(out.values.end(), r->values.begin(), r->values.end());
+    }
+    return out;
+  }
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
     const auto* r = dynamic_cast<const SparsePull*>(msg.get());
     if (r == nullptr) throw std::logic_error("unexpected sparse PS message");
-    result_.keys.insert(result_.keys.end(), r->keys.begin(), r->keys.end());
-    result_.values.insert(result_.values.end(), r->values.begin(),
-                          r->values.end());
+    pulled_.push_back(msg);  // shared with every worker: no payload copy
     if (r->last_of_flow && --flows_remaining_ == 0) finish_ = sim_.now();
   }
 
@@ -350,7 +374,7 @@ class SparsePsWorker final : public net::Endpoint {
   net::EndpointId self_ = -1;
   std::vector<net::EndpointId> servers_;
   std::size_t flows_remaining_ = 0;
-  tensor::CooTensor result_;
+  std::vector<net::MessagePtr> pulled_;  // SparsePull chunks, as received
   sim::Time finish_ = 0;
 };
 
@@ -383,7 +407,9 @@ BaselineStats detail::ps_sparse_allreduce(
   std::vector<std::unique_ptr<SparsePsServer>> servers;
   std::vector<net::EndpointId> server_eps;
   for (std::size_t s = 0; s < n_servers; ++s) {
-    servers.push_back(std::make_unique<SparsePsServer>(network, cfg, n));
+    servers.push_back(std::make_unique<SparsePsServer>(
+        network, cfg, n, shard_lo(dim, s, n_servers),
+        shard_lo(dim, s + 1, n_servers)));
     const net::NicId nic = colocated
                                ? worker_nics[s % n]
                                : network.add_nic({cfg.bandwidth_bps,
@@ -405,22 +431,7 @@ BaselineStats detail::ps_sparse_allreduce(
   for (net::NicId nic : worker_nics) {
     stats.total_tx_bytes += network.nic_stats(nic).tx_bytes;
   }
-  // Worker results collect per-server ranges in arrival order; normalize.
-  const tensor::CooTensor& r0 = workers[0]->result();
-  std::vector<std::pair<std::int32_t, float>> pairs;
-  pairs.reserve(r0.nnz());
-  for (std::size_t i = 0; i < r0.nnz(); ++i) {
-    pairs.emplace_back(r0.keys[i], r0.values[i]);
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  result.dim = dim;
-  result.keys.clear();
-  result.values.clear();
-  for (const auto& [k, v] : pairs) {
-    result.keys.push_back(k);
-    result.values.push_back(v);
-  }
+  result = workers[0]->result();
   stats.verified = true;
   return stats;
 }

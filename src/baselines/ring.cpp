@@ -9,6 +9,7 @@
 #include "net/message.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
+#include "tensor/kernels.h"
 
 namespace omr::baselines {
 
@@ -56,7 +57,7 @@ class RingNode final : public net::Endpoint {
     const bool reduce_phase = c->step < n_ - 1;
     float* dst = tensor_.values().data() + c->offset;
     if (reduce_phase) {
-      for (std::size_t i = 0; i < c->data.size(); ++i) dst[i] += c->data[i];
+      tensor::kernels::add(dst, c->data.data(), c->data.size());
     } else {
       std::copy(c->data.begin(), c->data.end(), dst);
     }
@@ -235,7 +236,7 @@ class RdNode final : public net::Endpoint {
     if (m == nullptr) throw std::logic_error("unexpected rd message");
     // A fast partner may deliver a later step's data before the current
     // step's partner does; buffer by step and apply strictly in order.
-    pending_[m->step] = m->data;
+    pending_[m->step] = msg;
     drain();
   }
 
@@ -243,8 +244,8 @@ class RdNode final : public net::Endpoint {
   void drain() {
     for (auto it = pending_.find(step_); it != pending_.end();
          it = pending_.find(step_)) {
-      const std::vector<float>& d = it->second;
-      for (std::size_t i = 0; i < d.size(); ++i) tensor_[i] += d[i];
+      const auto& d = static_cast<const RdMsg&>(*it->second).data;
+      tensor::kernels::add(tensor_.values().data(), d.data(), d.size());
       pending_.erase(it);
       ++step_;
       if ((1 << step_) >= n_) {
@@ -273,7 +274,7 @@ class RdNode final : public net::Endpoint {
   net::EndpointId self_ = -1;
   std::vector<net::EndpointId> all_;
   int step_ = 0;
-  std::map<int, std::vector<float>> pending_;
+  std::map<int, net::MessagePtr> pending_;  // RdMsg by step
   bool done_ = false;
   sim::Time finish_ = 0;
 };

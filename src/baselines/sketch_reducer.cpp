@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "baselines/ring.h"
+#include "tensor/coo.h"
 
 namespace omr::baselines {
 
@@ -19,19 +20,23 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 /// Row-r hash of element index i: low bits pick the counter, bit 32 the
 /// sign. Seeded identically on every worker (the hashes are part of the
-/// collective's agreement, like the block size).
+/// collective's agreement, like the block size). One splitmix64 per
+/// (row, index) yields both.
 struct SketchHash {
   std::uint64_t seed;
   std::size_t width;
-  std::uint64_t raw(std::size_t row, std::size_t i) const {
-    return splitmix64(seed ^ (row * 0x100000001b3ULL) ^
+  std::uint64_t row_key(std::size_t row) const {
+    return seed ^ (row * 0x100000001b3ULL);
+  }
+  std::uint64_t raw(std::uint64_t row_key, std::size_t i) const {
+    return splitmix64(row_key ^
                       (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL));
   }
-  std::size_t bucket(std::size_t row, std::size_t i) const {
-    return static_cast<std::size_t>(raw(row, i) % width);
+  std::size_t bucket(std::uint64_t h) const {
+    return static_cast<std::size_t>(h % width);
   }
-  float sign(std::size_t row, std::size_t i) const {
-    return (raw(row, i) >> 32 & 1) != 0 ? 1.0f : -1.0f;
+  static float sign(std::uint64_t h) {
+    return (h >> 32 & 1) != 0 ? 1.0f : -1.0f;
   }
 };
 
@@ -55,19 +60,23 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
   const std::size_t block = std::max<std::size_t>(1, opts.block_elements);
   const std::size_t n_blocks = (dim + block - 1) / block;
 
-  // Union support: which indices any worker contributes. Only its size
-  // enters the wire format (the per-block occupancy travels with the
-  // sketch); the index-level set is local bookkeeping.
+  // Each worker's non-zeros, gathered once in index order. The union
+  // support (which indices any worker contributes) is local bookkeeping:
+  // only its size enters the wire format, through the sketch width (the
+  // per-block occupancy travels with the sketch).
+  std::vector<tensor::CooTensor> nonzeros;
+  nonzeros.reserve(n);
+  for (const auto& t : inputs) nonzeros.push_back(tensor::dense_to_coo(t));
   std::size_t union_nnz = 0;
+  std::size_t max_nnz = 0;
   {
-    std::vector<char> occupied(dim, 0);
-    for (const auto& t : inputs) {
-      for (std::size_t i = 0; i < dim; ++i) {
-        if (t[i] != 0.0f && !occupied[i]) {
-          occupied[i] = 1;
-          ++union_nnz;
-        }
+    std::vector<std::uint8_t> occupied(dim, 0);
+    for (const auto& nz : nonzeros) {
+      for (const std::int32_t k : nz.keys) {
+        union_nnz += occupied[static_cast<std::size_t>(k)] ^ 1u;
+        occupied[static_cast<std::size_t>(k)] = 1;
       }
+      max_nnz = std::max(max_nnz, nz.nnz());
     }
   }
   const std::size_t width = std::max<std::size_t>(
@@ -79,25 +88,29 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
   out.sketch_width = width;
   out.payload_elements = opts.rows * width + n_blocks;
 
-  // Build each worker's packed [sketch rows | block occupancy] buffer.
-  std::size_t max_nnz = 0;
+  // Build each worker's packed [sketch rows | block occupancy] buffer, one
+  // row at a time. Each counter still adds its entries in index order.
   std::vector<tensor::DenseTensor> packed;
   packed.reserve(n);
-  for (const auto& t : inputs) {
+  for (const auto& nz : nonzeros) {
     tensor::DenseTensor buf(out.payload_elements);
-    std::size_t nnz = 0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const float v = t[i];
-      if (v == 0.0f) continue;
-      ++nnz;
-      for (std::size_t r = 0; r < opts.rows; ++r) {
-        buf[r * width + hash.bucket(r, i)] += hash.sign(r, i) * v;
+    float* data = buf.values().data();
+    for (std::size_t r = 0; r < opts.rows; ++r) {
+      float* row = data + r * width;
+      const std::uint64_t key = hash.row_key(r);
+      for (std::size_t e = 0; e < nz.nnz(); ++e) {
+        const std::uint64_t h =
+            hash.raw(key, static_cast<std::size_t>(nz.keys[e]));
+        row[hash.bucket(h)] += SketchHash::sign(h) * nz.values[e];
       }
-      buf[opts.rows * width + i / block] = 1.0f;
     }
-    max_nnz = std::max(max_nnz, nnz);
+    float* occupancy = data + opts.rows * width;
+    for (const std::int32_t k : nz.keys) {
+      occupancy[static_cast<std::size_t>(k) / block] = 1.0f;
+    }
     packed.push_back(std::move(buf));
   }
+  nonzeros.clear();
 
   // Sketches are linear, so the dense ring AllReduce merges them exactly;
   // occupancy sums to the contributing-worker count (> 0 == occupied).
@@ -107,22 +120,35 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
   // Recover every index inside an occupied block by the median-of-rows
   // estimate (true zeros inside occupied blocks come back as bounded
   // noise — that is the approximation the epsilon verification covers).
-  const tensor::DenseTensor& merged = packed.front();
-  out.result = tensor::DenseTensor(dim);
-  std::size_t candidates = 0;
-  std::vector<float> est(opts.rows);
+  // The estimates are gathered one sketch row at a time into a
+  // candidates x rows matrix: a row-major walk over the candidates measured
+  // faster than an index-major one (40.5 vs 44 ms per call on an NCF step),
+  // at the cost of holding rows x candidates floats plus the candidate list
+  // beside the merged buffer.
+  const float* merged = packed.front().values().data();
+  std::vector<std::int32_t> cand;
   for (std::size_t b = 0; b < n_blocks; ++b) {
     if (merged[opts.rows * width + b] <= 0.5f) continue;
-    const std::size_t lo = b * block;
-    const std::size_t hi = std::min(dim, lo + block);
-    for (std::size_t i = lo; i < hi; ++i) {
-      ++candidates;
-      for (std::size_t r = 0; r < opts.rows; ++r) {
-        est[r] = hash.sign(r, i) * merged[r * width + hash.bucket(r, i)];
-      }
-      std::sort(est.begin(), est.end());
-      out.result[i] = est[opts.rows / 2];
+    const std::size_t hi = std::min(dim, (b + 1) * block);
+    for (std::size_t i = b * block; i < hi; ++i) {
+      cand.push_back(static_cast<std::int32_t>(i));
     }
+  }
+  const std::size_t candidates = cand.size();
+  std::vector<float> est(opts.rows * candidates);
+  for (std::size_t r = 0; r < opts.rows; ++r) {
+    const float* row = merged + r * width;
+    const std::uint64_t key = hash.row_key(r);
+    for (std::size_t c = 0; c < candidates; ++c) {
+      const std::uint64_t h = hash.raw(key, static_cast<std::size_t>(cand[c]));
+      est[c * opts.rows + r] = SketchHash::sign(h) * row[hash.bucket(h)];
+    }
+  }
+  out.result = tensor::DenseTensor(dim);
+  for (std::size_t c = 0; c < candidates; ++c) {
+    float* e = est.data() + c * opts.rows;
+    std::sort(e, e + opts.rows);
+    out.result[static_cast<std::size_t>(cand[c])] = e[opts.rows / 2];
   }
 
   // Charge sketch build (rows touches per local non-zero) and recovery

@@ -57,15 +57,16 @@ std::vector<tensor::CooTensor> to_coo(
   return coo;
 }
 
+/// Scatter the reduced COO result (keys index the workers' tensors, which
+/// it was converted from) into the first tensor and copy it to the rest.
 void assign_result(std::vector<tensor::DenseTensor>& tensors,
                    const tensor::CooTensor& merged) {
-  tensor::DenseTensor dense = tensor::coo_to_dense(merged);
-  if (dense.size() < tensors.front().size()) {
-    tensor::DenseTensor full(tensors.front().size());
-    for (std::size_t i = 0; i < dense.size(); ++i) full[i] = dense[i];
-    dense = std::move(full);
+  tensor::DenseTensor& first = tensors.front();
+  first.fill(0.0f);
+  for (std::size_t i = 0; i < merged.nnz(); ++i) {
+    first[static_cast<std::size_t>(merged.keys[i])] = merged.values[i];
   }
-  for (auto& t : tensors) t = dense;
+  for (std::size_t w = 1; w < tensors.size(); ++w) tensors[w] = first;
 }
 
 AlgoCapabilities exact_flat(bool sparse) {
@@ -108,11 +109,11 @@ class AgSparseAlgo final : public CollectiveAlgorithm {
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     const auto coo = to_coo(tensors);
-    std::vector<tensor::CooTensor> outputs;
+    tensor::CooTensor result;
     const BaselineStats bs = detail::agsparse_allreduce(
-        coo, outputs, derive_config(cluster), stack_,
+        coo, result, derive_config(cluster), stack_,
         /*reduce_mem_bandwidth_Bps=*/12e9, /*verify=*/false, compress_);
-    assign_result(tensors, outputs.front());
+    assign_result(tensors, result);
     return to_run_stats(bs, tensors.size());
   }
 

@@ -1,18 +1,65 @@
 #include "tensor/coo.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace omr::tensor {
 
 CooTensor dense_to_coo(const DenseTensor& t) {
   CooTensor out;
-  out.dim = t.size();
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i] != 0.0f) {
-      out.keys.push_back(static_cast<std::int32_t>(i));
-      out.values.push_back(t[i]);
+  const std::size_t n = t.size();
+  out.dim = n;
+  const float* p = t.values().data();
+  // Outputs grow geometrically and are written through raw pointers; the
+  // final resize trims them to the non-zero count without reallocating.
+  std::size_t count = 0;
+  const auto reserve_for = [&](std::size_t more) {
+    if (count + more <= out.keys.size()) return;
+    const std::size_t cap = std::min(
+        n, std::max<std::size_t>({64, 2 * out.keys.size(), count + more}));
+    out.keys.resize(cap);
+    out.values.resize(cap);
+  };
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  // One cmpneq/movemask per 8 floats: cmpneq is true for NaN (unordered)
+  // and false for both zeros, exactly the scalar `!= 0.0f`. An all-zero
+  // group costs the test alone; the set bits name the survivors in index
+  // order.
+  const __m128 zero = _mm_setzero_ps();
+  for (; i + 8 <= n; i += 8) {
+    unsigned mask = static_cast<unsigned>(
+        _mm_movemask_ps(_mm_cmpneq_ps(_mm_loadu_ps(p + i), zero)) |
+        _mm_movemask_ps(_mm_cmpneq_ps(_mm_loadu_ps(p + i + 4), zero)) << 4);
+    if (mask == 0) continue;
+    reserve_for(8);
+    std::int32_t* keys = out.keys.data() + count;
+    float* values = out.values.data() + count;
+    count += static_cast<std::size_t>(std::popcount(mask));
+    for (; mask != 0; mask &= mask - 1) {
+      const std::size_t k =
+          i + static_cast<std::size_t>(std::countr_zero(mask));
+      *keys++ = static_cast<std::int32_t>(k);
+      *values++ = p[k];
     }
   }
+#endif
+  for (; i < n; ++i) {
+    if (p[i] != 0.0f) {
+      reserve_for(1);
+      out.keys[count] = static_cast<std::int32_t>(i);
+      out.values[count] = p[i];
+      ++count;
+    }
+  }
+  out.keys.resize(count);
+  out.values.resize(count);
   return out;
 }
 
@@ -28,34 +75,75 @@ CooTensor coo_add(const CooTensor& a, const CooTensor& b) {
   if (a.dim != b.dim) throw std::invalid_argument("dim mismatch");
   CooTensor out;
   out.dim = a.dim;
-  out.keys.reserve(a.nnz() + b.nnz());
-  out.values.reserve(a.nnz() + b.nnz());
-  std::size_t i = 0, j = 0;
-  while (i < a.nnz() && j < b.nnz()) {
-    if (a.keys[i] < b.keys[j]) {
-      out.keys.push_back(a.keys[i]);
-      out.values.push_back(a.values[i]);
-      ++i;
-    } else if (a.keys[i] > b.keys[j]) {
-      out.keys.push_back(b.keys[j]);
-      out.values.push_back(b.values[j]);
-      ++j;
+  out.keys.resize(a.nnz() + b.nnz());
+  out.values.resize(a.nnz() + b.nnz());
+  const std::int32_t* ak = a.keys.data();
+  const std::int32_t* bk = b.keys.data();
+  const std::int32_t* const a_end = ak + a.nnz();
+  const std::int32_t* const b_end = bk + b.nnz();
+  const float* av = a.values.data();
+  const float* bv = b.values.data();
+  std::int32_t* ok = out.keys.data();
+  float* ov = out.values.data();
+  // A lone key keeps its value bit for bit (never x + 0.0f, which would
+  // turn -0.0f into +0.0f); a shared key emits a + b. A branch-free select
+  // of both sides measured ~2x slower on NCF gradients: it turns the
+  // well-predicted compare into a load -> compare -> index dependency.
+  while (ak != a_end && bk != b_end) {
+    if (*ak < *bk) {
+      *ok++ = *ak++;
+      *ov++ = *av++;
+    } else if (*bk < *ak) {
+      *ok++ = *bk++;
+      *ov++ = *bv++;
     } else {
-      out.keys.push_back(a.keys[i]);
-      out.values.push_back(a.values[i] + b.values[j]);
-      ++i;
-      ++j;
+      *ok++ = *ak++;
+      ++bk;
+      *ov++ = *av++ + *bv++;
     }
   }
-  for (; i < a.nnz(); ++i) {
-    out.keys.push_back(a.keys[i]);
-    out.values.push_back(a.values[i]);
-  }
-  for (; j < b.nnz(); ++j) {
-    out.keys.push_back(b.keys[j]);
-    out.values.push_back(b.values[j]);
-  }
+  ok = std::copy(ak, a_end, ok);
+  ov = std::copy(av, av + (a_end - ak), ov);
+  ok = std::copy(bk, b_end, ok);
+  std::copy(bv, bv + (b_end - bk), ov);
+  const auto count = static_cast<std::size_t>(ok - out.keys.data());
+  out.keys.resize(count);
+  out.values.resize(count);
   return out;
+}
+
+CooShardAccumulator::CooShardAccumulator(std::int32_t lo, std::int32_t hi)
+    : lo_(lo), acc_(static_cast<std::size_t>(std::max(0, hi - lo)), 0.0f),
+      touched_(acc_.size(), 0) {}
+
+void CooShardAccumulator::add(const std::int32_t* keys, const float* values,
+                              std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto slot = static_cast<std::size_t>(
+        static_cast<std::int64_t>(keys[i]) - lo_);
+    if (slot >= acc_.size()) {
+      throw std::logic_error("key outside the accumulator's shard");
+    }
+    acc_[slot] += values[i];
+    nnz_ += touched_[slot] ^ 1u;
+    touched_[slot] = 1;
+  }
+}
+
+void CooShardAccumulator::emit(std::vector<std::int32_t>& keys,
+                               std::vector<float>& values) const {
+  // Every slot writes its pair; only a touched one advances the cursor, so
+  // the one spare entry absorbs the writes after the last touched key.
+  keys.resize(nnz_ + 1);
+  values.resize(nnz_ + 1);
+  std::size_t t = 0;
+  for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
+    keys[t] = lo_ + static_cast<std::int32_t>(slot);
+    values[t] = acc_[slot];
+    t += touched_[slot];
+  }
+  keys.pop_back();
+  values.pop_back();
 }
 
 sim::Time conversion_cost(std::size_t dense_elements, std::size_t nnz,

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "baselines/agsparse.h"
@@ -8,6 +10,9 @@
 #include "baselines/ring.h"
 #include "baselines/sparcml.h"
 #include "baselines/switchml.h"
+#include "baselines/zoo.h"
+#include "core/algorithm.h"
+#include "ddl/workloads.h"
 #include "sim/rng.h"
 #include "tensor/coo.h"
 #include "tensor/generators.h"
@@ -121,10 +126,10 @@ TEST(AgSparse, ReducesCorrectly) {
   auto dense = inputs(4, 4096, 0.9, 10);
   std::vector<tensor::CooTensor> coo;
   for (const auto& t : dense) coo.push_back(tensor::dense_to_coo(t));
-  std::vector<tensor::CooTensor> outs;
-  BaselineStats st = agsparse_allreduce(coo, outs, fast_cfg());
+  tensor::CooTensor out;
+  BaselineStats st = agsparse_allreduce(coo, out, fast_cfg());
   DenseTensor expect = tensor::reference_sum(dense);
-  EXPECT_LE(tensor::max_abs_diff(tensor::coo_to_dense(outs[0]), expect), 1e-4);
+  EXPECT_LE(tensor::max_abs_diff(tensor::coo_to_dense(out), expect), 1e-4);
   EXPECT_GT(st.completion_time, 0);
 }
 
@@ -132,7 +137,7 @@ TEST(AgSparse, GlooSlowerThanNccl) {
   auto dense = inputs(8, 1 << 18, 0.9, 11);
   std::vector<tensor::CooTensor> coo;
   for (const auto& t : dense) coo.push_back(tensor::dense_to_coo(t));
-  std::vector<tensor::CooTensor> o1, o2;
+  tensor::CooTensor o1, o2;
   const auto nccl = agsparse_allreduce(coo, o1, fast_cfg(), AgStack::kNccl);
   const auto gloo = agsparse_allreduce(coo, o2, fast_cfg(), AgStack::kGloo);
   EXPECT_GT(gloo.completion_time, nccl.completion_time);
@@ -145,8 +150,8 @@ TEST(AgSparse, TimeGrowsWithWorkers) {
     auto dense = inputs(n, 1 << 18, 0.9, 12);
     std::vector<tensor::CooTensor> coo;
     for (const auto& t : dense) coo.push_back(tensor::dense_to_coo(t));
-    std::vector<tensor::CooTensor> outs;
-    const auto st = agsparse_allreduce(coo, outs, fast_cfg());
+    tensor::CooTensor out;
+    const auto st = agsparse_allreduce(coo, out, fast_cfg());
     EXPECT_GT(st.completion_time, prev);
     prev = st.completion_time;
   }
@@ -293,6 +298,103 @@ TEST(SwitchMl, DenseStreamingCorrect) {
   EXPECT_TRUE(st.verified);
   // Dense mode: full tensor transmitted regardless of sparsity.
   EXPECT_EQ(st.worker_data_bytes[0], 16384u * 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Zoo golden digests
+// ---------------------------------------------------------------------------
+
+// Registry runs of the eight zoo algorithms (the perfbench zoo_rotation
+// set), pinned as FNV-1a digests of every worker's result-tensor bits,
+// completion_time, total_messages, worker_data_bytes and the verdict. The
+// values were recorded from the scalar, std::map-based baselines; any
+// change to a baseline's data path must keep every one of them.
+
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 0x100000001b3ULL;
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+};
+
+std::uint64_t zoo_digest(const std::string& algo,
+                         std::vector<DenseTensor> tensors) {
+  register_zoo();
+  core::ClusterSpec cluster = core::ClusterSpec::dedicated(4);
+  cluster.fabric.seed = 77;
+  const core::RunStats st = core::run_collective(
+      algo, tensors, core::Config::for_transport(core::Transport::kRdma),
+      cluster);
+  Fnv d;
+  for (const auto& t : tensors) {
+    d.bytes(t.values().data(), t.size() * sizeof(float));
+  }
+  d.u64(static_cast<std::uint64_t>(st.completion_time));
+  d.u64(st.total_messages);
+  for (auto b : st.worker_data_bytes) d.u64(b);
+  d.u64(st.verified ? 1 : 0);  // the sketch may miss its bound on tiny inputs
+  return d.h;
+}
+
+const std::vector<std::string>& zoo_rotation() {
+  static const std::vector<std::string> algos = {
+      "ring",         "recursive_doubling", "agsparse", "sparcml_ssar",
+      "sparcml_dsar", "ps_sparse",          "oktopk",   "sketch"};
+  return algos;
+}
+
+void expect_digests(const std::vector<DenseTensor>& in,
+                    const std::vector<std::uint64_t>& want) {
+  ASSERT_EQ(want.size(), zoo_rotation().size());
+  for (std::size_t a = 0; a < want.size(); ++a) {
+    const std::string& algo = zoo_rotation()[a];
+    const std::uint64_t got = zoo_digest(algo, in);
+    EXPECT_EQ(got, want[a]) << algo << " digest 0x" << std::hex << got;
+  }
+}
+
+TEST(ZooGolden, NcfStep) {
+  sim::Rng rng(301);
+  const auto in = ddl::sample_gradients(ddl::workload("NCF"), 8, 60001, rng);
+  expect_digests(in, {0x592f801f19bdf277ULL, 0x23ee0f08e18a3a60ULL,
+                       0x8799367a42b931f7ULL, 0xad5347d19c3ab675ULL,
+                       0xb9cf7ae7343270fULL, 0xc317d5113eb06852ULL,
+                       0xd2d65f2d4b705d3eULL, 0x5b0b576f23550442ULL});
+}
+
+TEST(ZooGolden, KeysOnSparsePsShardEdges) {
+  // 4 PS shards over 1000 elements: [0,250) [250,500) [500,750) [750,1000).
+  // Every worker hits the first and last key of each shard; their values
+  // differ, so a key routed to the wrong shard changes the digest.
+  std::vector<DenseTensor> in(8, DenseTensor(1000));
+  for (std::size_t w = 0; w < in.size(); ++w) {
+    for (std::size_t k : {0u, 249u, 250u, 499u, 500u, 749u, 750u, 999u}) {
+      in[w][k] = 0.25f * static_cast<float>(w + 1) + 0.001f * k;
+    }
+  }
+  in[3][250] = -in[2][250];  // two contributions that cancel exactly
+  expect_digests(in, {0x1cb7bbc980ee5a1eULL, 0x18e4ec480e2b2f0dULL,
+                       0x77c3759b188ac254ULL, 0xa18f24b4a3e7bd9cULL,
+                       0xa18f24b4a3e7bd9cULL, 0x9ea856880791f8c5ULL,
+                       0x121f0c5c81229d22ULL, 0xe2a6bbaef1daf5ebULL});
+}
+
+TEST(ZooGolden, EmptyWorkerFlow) {
+  // Worker 0 contributes nothing and the others only touch the first and
+  // last PS shards, so shards 1 and 2 see only empty flows.
+  std::vector<DenseTensor> in(8, DenseTensor(4096));
+  for (std::size_t w = 1; w < in.size(); ++w) {
+    for (std::size_t k = 0; k < 40; ++k) {
+      in[w][(k * 97 + w) % 1024] = 1.0f + 0.5f * static_cast<float>(k);
+      in[w][3072 + (k * 31 + w) % 1024] = -0.75f * static_cast<float>(w);
+    }
+  }
+  expect_digests(in, {0x7dfaa07e2c735c87ULL, 0xc44f2ac78a3bee86ULL,
+                       0xd79c201f11a724f5ULL, 0xa698e495d17f01c6ULL,
+                       0xa698e495d17f01c6ULL, 0x34a3c8d09e19b4ffULL,
+                       0xafc2f10ced73f183ULL, 0xfb3a122550dec5c0ULL});
 }
 
 }  // namespace

@@ -317,6 +317,175 @@ TEST(Coo, MergeAdd) {
   EXPECT_THROW(coo_add(a, mismatch), std::invalid_argument);
 }
 
+// The scalar loops dense_to_coo and coo_add are defined by: the SSE2 scan
+// and the pointer merge must return exactly what these do.
+CooTensor scalar_dense_to_coo(const std::vector<float>& v) {
+  CooTensor out;
+  out.dim = v.size();
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] != 0.0f) {
+      out.keys.push_back(static_cast<std::int32_t>(i));
+      out.values.push_back(v[i]);
+    }
+  }
+  return out;
+}
+
+CooTensor scalar_coo_add(const CooTensor& a, const CooTensor& b) {
+  CooTensor out;
+  out.dim = a.dim;
+  std::size_t i = 0, j = 0;
+  while (i < a.nnz() && j < b.nnz()) {
+    if (a.keys[i] < b.keys[j]) {
+      out.keys.push_back(a.keys[i]);
+      out.values.push_back(a.values[i++]);
+    } else if (a.keys[i] > b.keys[j]) {
+      out.keys.push_back(b.keys[j]);
+      out.values.push_back(b.values[j++]);
+    } else {
+      out.keys.push_back(a.keys[i]);
+      out.values.push_back(a.values[i++] + b.values[j++]);
+    }
+  }
+  for (; i < a.nnz(); ++i) {
+    out.keys.push_back(a.keys[i]);
+    out.values.push_back(a.values[i]);
+  }
+  for (; j < b.nnz(); ++j) {
+    out.keys.push_back(b.keys[j]);
+    out.values.push_back(b.values[j]);
+  }
+  return out;
+}
+
+/// kernel_values with `zero_pct` percent of the elements set to +0.0f
+/// (the specials still include -0.0f, denormals and NaNs).
+std::vector<float> coo_values(std::size_t n, std::uint64_t seed,
+                              std::uint64_t zero_pct) {
+  std::vector<float> v = kernel_values(n, seed);
+  sim::Rng rng(seed ^ 0x5bd1e995u);
+  for (float& x : v) {
+    if (rng.next_below(100) < zero_pct) x = 0.0f;
+  }
+  return v;
+}
+
+TEST(Coo, DenseToCooMatchesTheScalarLoop) {
+  for (std::uint64_t zero_pct : {0u, 60u, 97u, 100u}) {
+    for (std::size_t n = 0; n <= 4099; ++n) {
+      const std::vector<float> v = coo_values(n, 31 * n + zero_pct, zero_pct);
+      const CooTensor want = scalar_dense_to_coo(v);
+      const CooTensor got = dense_to_coo(DenseTensor(v));
+      ASSERT_EQ(got.dim, n);
+      ASSERT_EQ(got.keys, want.keys) << "n=" << n << " zero%=" << zero_pct;
+      for (std::size_t k = 0; k < want.nnz(); ++k) {
+        ASSERT_EQ(to_bits(got.values[k]), to_bits(want.values[k]))
+            << "n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Coo, DenseToCooDropsBothZerosAndKeepsNanAndDenormals) {
+  const std::vector<float> v = {
+      -0.0f, 0.0f, from_bits(0x00000001u), std::nanf(""), -0.0f, 1.0f,
+      0.0f,  -0.0f, 0.0f, from_bits(0x807fffffu)};
+  const CooTensor c = dense_to_coo(DenseTensor(v));
+  EXPECT_EQ(c.keys, (std::vector<std::int32_t>{2, 3, 5, 9}));
+}
+
+TEST(Coo, CooAddMatchesTheScalarMerge) {
+  // Key sets per case: empty, disjoint, identical and random overlaps,
+  // with values that include -0.0f, denormals, infinities and NaNs.
+  for (std::size_t n = 0; n <= 4099; n += (n < 64 ? 1 : 13)) {
+    const std::vector<float> va = coo_values(n, 7 * n + 1, 50);
+    const std::vector<float> vb = coo_values(n, 7 * n + 2, 50);
+    CooTensor a = scalar_dense_to_coo(va);
+    CooTensor b = scalar_dense_to_coo(vb);
+    // Every key, zeros included (-0.0f + -0.0f must stay -0.0f), and its
+    // odd/even halves.
+    CooTensor all_a{n, {}, {}}, all_b{n, {}, {}};
+    CooTensor odd{n, {}, {}}, even{n, {}, {}};
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto key = static_cast<std::int32_t>(k);
+      all_a.keys.push_back(key);
+      all_a.values.push_back(va[k]);
+      all_b.keys.push_back(key);
+      all_b.values.push_back(vb[k]);
+      CooTensor& side = k % 2 != 0 ? odd : even;
+      side.keys.push_back(key);
+      side.values.push_back(va[k]);
+    }
+    const CooTensor empty{n, {}, {}};
+    const std::pair<const CooTensor*, const CooTensor*> cases[] = {
+        {&a, &b},         {&b, &a},        {&a, &a},
+        {&all_a, &all_b}, {&all_b, &odd},  {&odd, &even},
+        {&even, &odd},    {&a, &empty},    {&empty, &b},
+        {&empty, &empty}};
+    for (const auto& [x, y] : cases) {
+      const CooTensor want = scalar_coo_add(*x, *y);
+      const CooTensor got = coo_add(*x, *y);
+      ASSERT_EQ(got.dim, n);
+      ASSERT_EQ(got.keys, want.keys) << "n=" << n;
+      ASSERT_EQ(got.values.size(), want.values.size());
+      for (std::size_t k = 0; k < want.nnz(); ++k) {
+        // Operands for the NaN + NaN payload rule of same_sum: a key on
+        // one side only compares bit for bit (its other operand is 0).
+        const auto find = [&](const CooTensor& t) {
+          const auto it = std::lower_bound(t.keys.begin(), t.keys.end(),
+                                           want.keys[k]);
+          return it != t.keys.end() && *it == want.keys[k]
+                     ? t.values[static_cast<std::size_t>(it - t.keys.begin())]
+                     : 0.0f;
+        };
+        ASSERT_TRUE(same_sum(got.values[k], want.values[k], find(*x),
+                             find(*y)))
+            << "n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Coo, ShardAccumulatorSumsInArrivalOrder) {
+  CooShardAccumulator acc(100, 200);
+  const std::int32_t k1[] = {100, 150, 199};
+  const float v1[] = {1.0f, 2.5f, -0.0f};
+  const std::int32_t k2[] = {150, 120};
+  const float v2[] = {-2.5f, 4.0f};
+  acc.add(k1, v1, 3);
+  acc.add(k2, v2, 2);
+  EXPECT_EQ(acc.nnz(), 4u);
+  // A key whose contributions cancel stays in the result; a lone -0.0f
+  // comes back as 0.0f + -0.0f = +0.0f, as a zero-initialised map gives.
+  std::vector<std::int32_t> keys;
+  std::vector<float> values;
+  acc.emit(keys, values);
+  EXPECT_EQ(keys, (std::vector<std::int32_t>{100, 120, 150, 199}));
+  ASSERT_EQ(values.size(), 4u);
+  EXPECT_EQ(values[0], 1.0f);
+  EXPECT_EQ(values[1], 4.0f);
+  EXPECT_EQ(values[2], 0.0f);
+  EXPECT_EQ(to_bits(values[3]), 0u);
+}
+
+TEST(Coo, ShardAccumulatorRejectsKeysOutsideItsShard) {
+  CooShardAccumulator acc(100, 200);
+  const float v[] = {1.0f};
+  for (std::int32_t key : {99, 200, -1, 1 << 30}) {
+    const std::int32_t k[] = {key};
+    EXPECT_THROW(acc.add(k, v, 1), std::logic_error) << key;
+  }
+  EXPECT_EQ(acc.nnz(), 0u);
+  std::vector<std::int32_t> keys = {7};
+  std::vector<float> values = {7.0f};
+  acc.emit(keys, values);
+  EXPECT_TRUE(keys.empty());
+  EXPECT_TRUE(values.empty());
+  CooShardAccumulator none(5, 5);
+  const std::int32_t k[] = {5};
+  EXPECT_THROW(none.add(k, v, 1), std::logic_error);
+}
+
 TEST(Coo, ConversionCostScalesWithSize) {
   EXPECT_GT(conversion_cost(1 << 20, 1 << 10), conversion_cost(1 << 10, 1 << 4));
   EXPECT_GT(conversion_cost(1 << 20, 1 << 19), conversion_cost(1 << 20, 0));
