@@ -15,6 +15,7 @@
 #include "core/engine.h"
 #include "core/selector.h"
 #include "core/session.h"
+#include "report_goldens.h"
 #include "sim/rng.h"
 #include "tensor/generators.h"
 
@@ -251,6 +252,31 @@ TEST(Determinism, BurstLossRunsAreBitIdentical) {
   EXPECT_GT(a.dropped_messages, 0u);
   EXPECT_GT(a.retransmissions, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Engine report goldens (tests/report_goldens.h)
+// ---------------------------------------------------------------------------
+
+class EngineReportGolden
+    : public ::testing::TestWithParam<golden::ReportGolden> {};
+
+TEST_P(EngineReportGolden, ReportAndResultMatch) {
+  const golden::ReportGolden& g = GetParam();
+  auto [cfg, cluster] = golden::golden_setup(g);
+  auto tensors = golden::golden_inputs(cfg);
+  const telemetry::RunReport report =
+      run_allreduce_report(tensors, cfg, cluster, /*verify=*/true);
+  const std::uint64_t rd = golden::report_digest(report);
+  const std::uint64_t td = golden::tensor_digest(tensors);
+  EXPECT_EQ(rd, g.report_digest) << "report digest 0x" << std::hex << rd;
+  EXPECT_EQ(td, g.tensor_digest) << "tensor digest 0x" << std::hex << td;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, EngineReportGolden, ::testing::ValuesIn(golden::kReportGoldens),
+    [](const ::testing::TestParamInfo<golden::ReportGolden>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace omr::core
