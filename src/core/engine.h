@@ -62,11 +62,13 @@ struct RunStats {
   }
 };
 
-/// Run one OmniReduce AllReduce over a freshly built simulated cluster.
+/// Run one OmniReduce AllReduce on a freshly built one-collective Session
+/// (core/session.h), which also wires any ClusterSpec::faults.
 ///
 /// `tensors` (one per worker) are reduced in place: on return every entry
 /// holds the element-wise sum. With `verify`, the result is checked against
-/// a serial reference reduction (tolerance scales with worker count).
+/// a serial reference reduction (tolerance scales with worker count); a
+/// faulted run that ends in a verdict skips the check.
 RunStats run_allreduce(std::vector<tensor::DenseTensor>& tensors,
                        const Config& cfg, const ClusterSpec& cluster,
                        bool verify = true);
@@ -82,20 +84,13 @@ telemetry::RunReport run_allreduce_report(
     const std::string& label = "allreduce");
 
 /// Assemble a RunReport from finished-run stats plus (optionally) a tracer's
-/// accumulated totals, histograms, timelines and trace. Used by
-/// run_allreduce_report and Session; `tracer` may be null.
+/// accumulated totals, histograms, timelines and trace. Session builds
+/// every collective's report with it; `tracer` may be null.
 telemetry::RunReport make_run_report(const std::string& label,
                                      const RunStats& stats,
                                      const ClusterSpec& cluster,
                                      std::size_t n_workers,
                                      std::size_t n_elements,
                                      const telemetry::Tracer* tracer);
-
-/// Convenience wrapper with paper-style knobs: picks Config from the
-/// transport, dedicated aggregators, and a device model with/without GDR.
-RunStats run_allreduce_simple(std::vector<tensor::DenseTensor>& tensors,
-                              Transport transport, double bandwidth_bps,
-                              bool gdr = false, double loss_rate = 0.0,
-                              std::uint64_t seed = 1);
 
 }  // namespace omr::core

@@ -19,18 +19,23 @@ int worker_rack(const TopologySpec& topo, std::size_t w,
 /// Rack of dedicated aggregator node `a` (explicit, or round-robin).
 int aggregator_rack(const TopologySpec& topo, std::size_t a);
 
-/// Rack of every NIC in engine add order: the n_workers worker NICs first,
-/// then the dedicated aggregator NICs (colocated deployments add none).
+/// Rack of every NIC in Session add order: the n_workers worker NICs
+/// first, then the dedicated aggregator NICs (colocated deployments add
+/// none). Empty on the ideal switch, which ignores placement; on a
+/// two-tier fabric explicit worker racks must name every worker
+/// (std::invalid_argument otherwise).
 std::vector<int> resolve_nic_racks(const TopologySpec& topo,
                                    std::size_t n_workers,
                                    std::size_t n_dedicated_aggs);
 
-/// Build the net::Topology a ClusterSpec describes. The default spec
-/// returns an IdealSwitch at fabric.one_way_latency — the seed fabric,
-/// bit-identical runs.
-std::unique_ptr<net::Topology> make_topology(const ClusterSpec& cluster,
-                                             std::size_t n_workers,
-                                             std::size_t n_dedicated_aggs);
+/// Build the net::Topology `topo` describes, the one builder behind the
+/// Session and the multi-tenant Fabric. kIdealSwitch returns an
+/// IdealSwitch at `one_way_latency` — the seed fabric, bit-identical runs
+/// — and ignores `rack_of_nic`. kTwoTier places NIC i (in add order) in
+/// rack rack_of_nic[i]; the hop latency defaults to one_way_latency / 2.
+std::unique_ptr<net::Topology> make_topology(const TopologySpec& topo,
+                                             sim::Time one_way_latency,
+                                             std::vector<int> rack_of_nic);
 
 /// Apply the fabric-level loss processes (legacy Bernoulli rate, optional
 /// Gilbert-Elliott bursts) to a freshly built network.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+
+#include "core/cluster.h"
 
 namespace omr::core {
 
@@ -12,6 +15,38 @@ const char* verdict_name(RunVerdict v) {
     case RunVerdict::kWatchdog: return "watchdog";
   }
   return "unknown";
+}
+
+void validate_fault_spec(const FaultSpec& spec, const TopologySpec& topology,
+                         std::size_t n_workers,
+                         std::size_t n_aggregator_nodes) {
+  if (!spec.enabled()) return;
+  if (spec.watchdog <= 0) {
+    throw std::invalid_argument("fault injection requires a positive watchdog");
+  }
+  for (const CrashSpec& c : spec.crashes) {
+    if (c.worker >= n_workers) {
+      throw std::invalid_argument("crash spec names an unknown worker");
+    }
+  }
+  for (const AggStallSpec& s : spec.agg_stalls) {
+    if (s.aggregator >= n_aggregator_nodes) {
+      throw std::invalid_argument("stall spec names an unknown aggregator");
+    }
+  }
+  for (const NicFlapSpec& f : spec.nic_flaps) {
+    if (f.index >= (f.on_aggregator ? n_aggregator_nodes : n_workers)) {
+      throw std::invalid_argument("NIC flap names an unknown node");
+    }
+  }
+  if (!spec.link_flaps.empty() && !topology.two_tier()) {
+    throw std::invalid_argument("link flaps require a two-tier topology");
+  }
+  for (const LinkFlapSpec& f : spec.link_flaps) {
+    if (f.rack >= topology.n_racks) {
+      throw std::invalid_argument("link flap names an unknown rack");
+    }
+  }
 }
 
 FaultController::FaultController(const FaultSpec& spec, sim::Time base_timeout,

@@ -130,7 +130,7 @@ struct NicFlapSpec {
 /// Fault schedule for one cluster, carried on core::ClusterSpec. Every
 /// fault is driven by simulator events and seeded RNGs, so the same spec +
 /// seed replays bit-identically. The default-constructed spec is inert:
-/// the engine then builds no FaultController and the simulation is
+/// the Session then builds no FaultController and the simulation is
 /// byte-for-byte the unfaulted path.
 struct FaultSpec {
   std::uint64_t seed = 1;
@@ -155,7 +155,18 @@ struct FaultSpec {
   }
 };
 
-/// Per-run fault coordinator owned by the engine and shared (as a raw
+struct TopologySpec;
+
+/// Reject (std::invalid_argument) a fault schedule the cluster cannot
+/// honour: a non-positive watchdog; a crash, stall or NIC flap naming an
+/// unknown worker or aggregator node; a link flap off a two-tier fabric or
+/// naming an unknown rack. An inert spec always passes. Every OmniReduce
+/// host runs this one check, so all collectives reject the same specs.
+void validate_fault_spec(const FaultSpec& spec, const TopologySpec& topology,
+                         std::size_t n_workers,
+                         std::size_t n_aggregator_nodes);
+
+/// Per-run fault coordinator owned by the Session and shared (as a raw
 /// pointer, like the Tracer) by workers and aggregators. Holds the seeded
 /// per-worker RNGs for straggler draws and backoff jitter, the stall
 /// windows, and the single FailureInfo — the first declared verdict wins,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/algorithm.h"
 #include "core/fabric.h"
@@ -26,35 +27,34 @@ Session::Session(const Config& cfg, std::size_t n_workers,
   if (cfg_.fixed_point && cfg_.op != ReduceOp::kSum) {
     throw std::invalid_argument("fixed-point slots support only sum");
   }
-  if (spec_.faults.enabled()) {
-    // Fault injection is per-run state (crash events, verdicts, watchdog);
-    // a long-lived Session would carry it across collectives. Documented
-    // limitation — see docs/ROBUSTNESS.md.
-    throw std::invalid_argument(
-        "fault injection is not supported on Session; dispatch one-shot "
-        "runs through CollectiveAlgorithm::run() (core::run_collective)");
-  }
+  const FaultSpec& fault_spec = spec_.faults;
+  validate_fault_spec(fault_spec, spec_.topology, n_workers_, n_aggregators_);
   const FabricConfig& fabric = spec_.fabric;
   if (!fabric.worker_start_offsets.empty() &&
       fabric.worker_start_offsets.size() != n_workers_) {
     throw std::invalid_argument("start-offset count != worker count");
   }
-  if (fabric.lossy() || spec_.topology.spine_lossy()) {
+  if (fabric.lossy() || spec_.topology.spine_lossy() ||
+      fault_spec.needs_recovery()) {
     cfg_.loss_recovery = true;
   }
 
+  const bool colocated = spec_.deployment == Deployment::kColocated;
   simulator_ = std::make_unique<sim::Simulator>();
   network_ = std::make_unique<net::Network>(
       *simulator_,
-      make_topology(spec_, n_workers_,
-                    spec_.deployment == Deployment::kColocated
-                        ? 0
-                        : n_aggregators_),
+      make_topology(spec_.topology, fabric.one_way_latency,
+                    resolve_nic_racks(spec_.topology, n_workers_,
+                                      colocated ? 0 : n_aggregators_)),
       fabric.seed);
   apply_fabric_loss(*network_, fabric);
   if (spec_.telemetry.enabled) {
     tracer_ = std::make_unique<telemetry::Tracer>(spec_.telemetry);
     network_->set_tracer(tracer_.get());
+  }
+  if (fault_spec.enabled()) {
+    faults_ = std::make_unique<FaultController>(
+        fault_spec, cfg_.retransmit_timeout, tracer_.get());
   }
 
   for (std::size_t w = 0; w < n_workers_; ++w) {
@@ -69,32 +69,48 @@ Session::Session(const Config& cfg, std::size_t n_workers,
   }
   for (std::size_t a = 0; a < n_aggregators_; ++a) {
     agg_nics_.push_back(
-        spec_.deployment == Deployment::kColocated
-            ? worker_nics_[a]
-            : network_->add_nic({fabric.aggregator_bandwidth_bps,
-                                 fabric.aggregator_bandwidth_bps,
-                                 fabric.aggregator_rx_overhead_ns}));
+        colocated ? worker_nics_[a]
+                  : network_->add_nic({fabric.aggregator_bandwidth_bps,
+                                       fabric.aggregator_bandwidth_bps,
+                                       fabric.aggregator_rx_overhead_ns}));
     if (tracer_ != nullptr) {
       tracer_->name_process(telemetry::aggregator_pid(a),
                             "aggregator " + std::to_string(a));
-      if (spec_.deployment != Deployment::kColocated) {
+      if (!colocated) {
         tracer_->map_nic(agg_nics_[a], telemetry::aggregator_pid(a));
       }
     }
   }
-  rebuild_endpoints();
-}
 
-Session::~Session() = default;
+  // Outage windows need resolved NIC ids: flaps on the fabric's NICs and
+  // (two-tier only) on per-rack spine links.
+  for (const NicFlapSpec& f : fault_spec.nic_flaps) {
+    const net::NicId nic =
+        f.on_aggregator ? agg_nics_[f.index] : worker_nics_[f.index];
+    network_->add_nic_flap(nic, f.at, f.at + f.duration);
+  }
+  if (!fault_spec.link_flaps.empty()) {
+    net::Topology& topo = network_->topology();
+    topo.finalize();  // materialize the lazy link table
+    auto& two_tier = dynamic_cast<net::TwoTierFabric&>(topo);
+    for (const LinkFlapSpec& f : fault_spec.link_flaps) {
+      const int rack = static_cast<int>(f.rack);
+      const net::LinkId id =
+          f.downlink ? two_tier.downlink(rack) : two_tier.uplink(rack);
+      topo.add_link_flap(id, f.at, f.at + f.duration);
+    }
+  }
 
-void Session::rebuild_endpoints() {
-  ProtocolWiring wiring = wire_protocol(cfg_, *network_, worker_nics_,
-                                        agg_nics_, {tracer_.get(), nullptr});
+  ProtocolWiring wiring =
+      wire_protocol(cfg_, *network_, worker_nics_, agg_nics_,
+                    {tracer_.get(), faults_.get()});
   workers_ = std::move(wiring.workers);
   aggregators_ = std::move(wiring.aggregators);
   worker_eps_ = std::move(wiring.worker_eps);
   agg_eps_ = std::move(wiring.agg_eps);
 }
+
+Session::~Session() = default;
 
 sim::Time Session::now() const { return simulator_->now(); }
 
@@ -124,8 +140,37 @@ RunStats Session::allreduce(std::vector<tensor::DenseTensor>& tensors,
   return run_collective(tensors, verify, "allreduce");
 }
 
+void Session::schedule_faults(sim::Time t0) {
+  for (const CrashSpec& c : spec_.faults.crashes) {
+    Worker* worker = workers_[c.worker].get();
+    simulator_->schedule_at(t0 + c.at, [worker]() { worker->crash(); });
+    if (c.restart_after > 0) {
+      simulator_->schedule_at(t0 + c.at + c.restart_after,
+                              [worker]() { worker->restart(); });
+    }
+  }
+  // Bounded simulated-time watchdog: whatever else goes wrong, an
+  // unfinished collective turns into a structured verdict at this point
+  // and the event queue drains (post-abort, no handler schedules new work).
+  const sim::Time deadline = t0 + spec_.faults.watchdog;
+  simulator_->schedule_at(deadline, [this, deadline]() {
+    if (faults_->aborted()) return;
+    for (const auto& w : workers_) {
+      if (!w->done()) {
+        faults_->watchdog_fired(deadline);
+        return;
+      }
+    }
+  });
+}
+
 RunStats Session::run_collective(std::vector<tensor::DenseTensor>& tensors,
                                  bool verify, const char* label) {
+  if (faults_ != nullptr && collectives_run_ > 0) {
+    throw std::logic_error(
+        "a faulted Session runs one collective: its fault times sit on the "
+        "first collective's clock");
+  }
   if (tensors.size() != n_workers_) {
     throw std::invalid_argument("tensor count != worker count");
   }
@@ -165,18 +210,32 @@ RunStats Session::run_collective(std::vector<tensor::DenseTensor>& tensors,
       });
     }
   }
+  if (faults_ != nullptr) schedule_faults(t0);
   simulator_->run();
   ++collectives_run_;
 
   RunStats stats;
+  const bool aborted = faults_ != nullptr && faults_->aborted();
+  if (aborted) stats.failure = faults_->failure();
   for (const auto& w : workers_) {
-    if (!w->done()) throw std::logic_error("session collective stalled");
-    stats.worker_finish.push_back(w->finish_time() - t0);
+    if (!w->done() && !aborted) {
+      throw std::logic_error("session collective stalled");
+    }
+    const sim::Time finish = w->done() ? w->finish_time() - t0 : 0;
+    stats.worker_finish.push_back(finish);
     stats.worker_data_bytes.push_back(w->data_bytes_sent());
     stats.retransmissions += w->retransmissions();
     stats.acks += w->acks_sent();
-    stats.completion_time =
-        std::max(stats.completion_time, w->finish_time() - t0);
+    stats.completion_time = std::max(stats.completion_time, finish);
+  }
+  if (aborted) stats.completion_time = stats.failure.at - t0;
+  if (faults_ != nullptr) {
+    for (const auto& w : workers_) {
+      stats.worker_retries.push_back(w->retransmissions());
+      stats.worker_fault_stall_ns.push_back(w->fault_stall());
+      stats.worker_crashes += w->crashes();
+      stats.resyncs += w->resyncs_sent();
+    }
   }
   for (const auto& a : aggregators_) {
     stats.rounds += a->rounds_completed();
@@ -203,11 +262,14 @@ RunStats Session::run_collective(std::vector<tensor::DenseTensor>& tensors,
   stats.dropped_messages = network_->total_dropped() - dropped_before;
   stats.links = collect_link_reports(*network_, &links_before);
   if (tracer_ != nullptr) {
-    tracer_->collective_span(t0, simulator_->now(), collectives_run_ - 1);
+    tracer_->collective_span(t0, t0 + stats.completion_time,
+                             collectives_run_ - 1);
   }
-  if (verify) {
+  if (verify && !aborted) {
     const double err = check.max_error(tensors);
     stats.max_error = err;
+    // Float sums of <= n_workers addends in a different association order:
+    // tolerance grows mildly with worker count and value magnitude.
     double tol = 1e-4 * static_cast<double>(n_workers_);
     if (cfg_.codec.enabled()) {
       tol += compress::codec_verify_slack(cfg_.codec.codec,
@@ -256,6 +318,85 @@ RunStats Session::broadcast(const tensor::DenseTensor& root_data,
   RunStats stats = run_collective(inputs, verify, "broadcast");
   outputs = std::move(inputs);
   return stats;
+}
+
+// --- one-shot entry points ---------------------------------------------------
+
+RunStats run_allreduce(std::vector<tensor::DenseTensor>& tensors,
+                       const Config& cfg, const ClusterSpec& cluster,
+                       bool verify) {
+  // No report leaves this call, so no tracer records one.
+  ClusterSpec untraced = cluster;
+  untraced.telemetry.enabled = false;
+  Session session(cfg, tensors.size(), untraced);
+  return session.run_collective(tensors, verify, "allreduce");
+}
+
+telemetry::RunReport run_allreduce_report(
+    std::vector<tensor::DenseTensor>& tensors, const Config& cfg,
+    const ClusterSpec& cluster, bool verify, const std::string& label) {
+  Session session(cfg, tensors.size(), cluster);
+  session.run_collective(tensors, verify, label.c_str());
+  return std::move(session.last_report_);
+}
+
+telemetry::RunReport make_run_report(const std::string& label,
+                                     const RunStats& stats,
+                                     const ClusterSpec& cluster,
+                                     std::size_t n_workers,
+                                     std::size_t n_elements,
+                                     const telemetry::Tracer* tracer) {
+  telemetry::RunReport report;
+  report.label = label;
+  report.completion_time = stats.completion_time;
+  report.worker_finish = stats.worker_finish;
+  report.worker_data_bytes = stats.worker_data_bytes;
+  report.total_messages = stats.total_messages;
+  report.retransmissions = stats.retransmissions;
+  report.dropped_messages = stats.dropped_messages;
+  report.rounds = stats.rounds;
+  report.acks = stats.acks;
+  report.duplicate_resends = stats.duplicate_resends;
+  report.verified = stats.verified;
+  report.max_error = stats.max_error;
+  report.links = stats.links;
+  report.n_workers = n_workers;
+  report.n_aggregators = cluster.deployment == Deployment::kColocated
+                             ? n_workers
+                             : cluster.n_aggregator_nodes;
+  report.tensor_elements = n_elements;
+  if (cluster.faults.enabled()) {
+    report.fault_layer = true;
+    report.verdict = verdict_name(stats.failure.verdict);
+    report.failed_peer = stats.failure.peer;
+    report.failed_peer_is_aggregator = stats.failure.peer_is_aggregator;
+    report.failure_at = stats.failure.at;
+    report.failure_detail = stats.failure.detail;
+    report.worker_retries = stats.worker_retries;
+    report.worker_fault_stall_ns = stats.worker_fault_stall_ns;
+    report.worker_crashes = stats.worker_crashes;
+    report.resyncs = stats.resyncs;
+  }
+  if (!stats.codec.empty()) {
+    report.codec = stats.codec;
+    report.codec_saved_bytes = stats.codec_saved_bytes;
+    report.codec_exact_folds = stats.codec_exact_folds;
+    report.codec_requant_folds = stats.codec_requant_folds;
+    report.codec_residual_l2 = stats.codec_residual_l2;
+  }
+  if (tracer != nullptr) {
+    for (std::size_t w = 0; w < n_workers; ++w) {
+      report.traced_worker_payload_bytes +=
+          tracer->tx_payload_bytes(telemetry::worker_pid(w));
+    }
+    report.retransmit_payload_bytes = tracer->retransmit_payload_bytes();
+    report.wire_tx_bytes_total = tracer->tx_wire_bytes_total();
+    report.message_wire_bytes = tracer->message_wire_hist();
+    report.round_gap_ns = tracer->round_gap_hist();
+    report.streams = tracer->stream_timelines();
+    report.trace = tracer->snapshot_trace();
+  }
+  return report;
 }
 
 }  // namespace omr::core

@@ -1,12 +1,14 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/aggregator.h"
 #include "core/cluster.h"
 #include "core/config.h"
 #include "core/engine.h"
+#include "core/faults.h"
 #include "core/worker.h"
 #include "device/device_model.h"
 #include "net/network.h"
@@ -28,6 +30,12 @@ namespace omr::core {
 /// NIC state persist. When spec.telemetry.enabled, a Tracer lives for the
 /// whole session, so traces and counter totals span all collectives run
 /// through it.
+///
+/// When spec.faults is enabled the session runs exactly one native
+/// collective: fault times sit on that collective's clock, so a second
+/// call throws std::logic_error. A faulted collective either completes or
+/// ends in RunStats::failure (docs/ROBUSTNESS.md). This one-collective
+/// session is also run_allreduce's host.
 class Session {
  public:
   Session(const Config& cfg, std::size_t n_workers,
@@ -85,9 +93,15 @@ class Session {
   const telemetry::Tracer* tracer() const { return tracer_.get(); }
 
  private:
-  void rebuild_endpoints();
+  friend RunStats run_allreduce(std::vector<tensor::DenseTensor>&,
+                                const Config&, const ClusterSpec&, bool);
+  friend telemetry::RunReport run_allreduce_report(
+      std::vector<tensor::DenseTensor>&, const Config&, const ClusterSpec&,
+      bool, const std::string&);
+
   RunStats run_collective(std::vector<tensor::DenseTensor>& tensors,
                           bool verify, const char* label);
+  void schedule_faults(sim::Time t0);
 
   Config cfg_;
   ClusterSpec spec_;
@@ -98,6 +112,7 @@ class Session {
   std::unique_ptr<sim::Simulator> simulator_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<telemetry::Tracer> tracer_;
+  std::unique_ptr<FaultController> faults_;  // null unless spec.faults is on
   std::vector<net::NicId> worker_nics_;
   std::vector<net::NicId> agg_nics_;
   // Workers and aggregators persist across collectives; per-tensor state

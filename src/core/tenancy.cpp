@@ -7,6 +7,7 @@
 #include "compress/wire_codec.h"
 #include "core/aggregator.h"
 #include "core/engine.h"
+#include "core/fabric.h"
 #include "core/messages.h"
 #include "core/stream_layout.h"
 #include "core/worker.h"
@@ -55,40 +56,23 @@ std::vector<const tensor::DenseTensor*> active_tensors(
   return out;
 }
 
+/// Rack of each machine: machine_racks (validated on a two-tier fabric) or
+/// the contiguous fill workers get. Empty on the ideal switch.
 std::vector<int> resolve_machine_racks(const TenantFabricSpec& spec) {
-  std::vector<int> racks(spec.n_machines, 0);
+  if (!spec.topology.two_tier()) return {};
   if (!spec.machine_racks.empty()) {
     if (spec.machine_racks.size() != spec.n_machines) {
       throw std::invalid_argument("machine_racks size != machine count");
     }
-    racks = spec.machine_racks;
-    for (int r : racks) {
+    for (int r : spec.machine_racks) {
       if (r < 0 || static_cast<std::size_t>(r) >= spec.topology.n_racks) {
         throw std::invalid_argument("machine rack out of range");
       }
     }
-    return racks;
   }
-  for (std::size_t i = 0; i < spec.n_machines; ++i) {
-    racks[i] = static_cast<int>(i * spec.topology.n_racks / spec.n_machines);
-  }
-  return racks;
-}
-
-std::unique_ptr<net::Topology> make_fabric_topology(
-    const TenantFabricSpec& spec) {
-  if (!spec.topology.two_tier()) {
-    return std::make_unique<net::IdealSwitch>(spec.one_way_latency);
-  }
-  net::TwoTierFabric::Config cfg;
-  cfg.n_racks = spec.topology.n_racks;
-  cfg.hop_latency = spec.topology.hop_latency > 0
-                        ? spec.topology.hop_latency
-                        : spec.one_way_latency / 2;
-  cfg.oversubscription = spec.topology.oversubscription;
-  cfg.uplink_bandwidth_bps = spec.topology.uplink_bandwidth_bps;
-  cfg.rack_of_nic = resolve_machine_racks(spec);
-  return std::make_unique<net::TwoTierFabric>(std::move(cfg));
+  TopologySpec placed = spec.topology;
+  placed.worker_racks = spec.machine_racks;
+  return resolve_nic_racks(placed, spec.n_machines, 0);
 }
 
 }  // namespace
@@ -423,7 +407,10 @@ Fabric::Fabric(TenantFabricSpec spec)
         "multi-tenant fabric does not support a lossy spine");
   }
   network_ = std::make_unique<net::Network>(
-      *simulator_, make_fabric_topology(spec_), spec_.seed);
+      *simulator_,
+      make_topology(spec_.topology, spec_.one_way_latency,
+                    resolve_machine_racks(spec_)),
+      spec_.seed);
   machine_nics_.reserve(spec_.n_machines);
   for (std::size_t m = 0; m < spec_.n_machines; ++m) {
     machine_nics_.push_back(network_->add_nic({spec_.machine_bandwidth_bps,

@@ -120,9 +120,9 @@ struct CustomJobSpec {
 };
 
 /// Multi-tenant run context: one simulator + one network shared by N
-/// concurrent jobs. Replaces the engine's one-job-per-simulator assumption
-/// for concurrency studies; single-job paths (run_allreduce, Session) are
-/// untouched and byte-identical.
+/// concurrent jobs, for concurrency studies. The single-job host is
+/// core::Session (run_allreduce runs one collective on it); both build
+/// their topology with core::make_topology.
 ///
 /// Steps of a job are sequenced by a per-job control plane whose messages
 /// travel the simulated fabric itself (a JobController plus one agent per

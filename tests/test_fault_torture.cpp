@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "core/cluster.h"
+#include "core/collectives.h"
 #include "core/engine.h"
 #include "core/session.h"
+#include "report_goldens.h"
 #include "sim/rng.h"
 #include "tensor/generators.h"
 
@@ -363,10 +365,40 @@ TEST(FaultTorture, FaultedRunReportsAreByteIdentical) {
   EXPECT_NE(failing.find("\"verdict\":\"peer_dead\""), std::string::npos);
 }
 
-TEST(FaultTorture, SessionRejectsFaultSpecs) {
-  ClusterSpec cluster = ClusterSpec::dedicated(1);
-  cluster.faults.stragglers.mean_delay_ns = 1e3;
-  EXPECT_THROW(Session(Config{}, 2, cluster), std::invalid_argument);
+TEST(FaultTorture, FaultedSessionRunsOneCollective) {
+  // Fault times sit on the first collective's clock: a faulted Session's
+  // first allreduce is exactly the pinned one-shot run (verdicts and
+  // traces included), and a second collective is refused.
+  for (const golden::ReportGolden& g : golden::kReportGoldens) {
+    auto [cfg, cluster] = golden::golden_setup(g);
+    if (!cluster.faults.enabled()) continue;
+    SCOPED_TRACE(g.name);
+    auto tensors = golden::golden_inputs(cfg);
+    Session session(cfg, tensors.size(), cluster);
+    session.allreduce(tensors);
+    EXPECT_EQ(golden::report_digest(session.last_report()), g.report_digest);
+    EXPECT_EQ(golden::tensor_digest(tensors), g.tensor_digest);
+    auto again = golden::golden_inputs(cfg);
+    EXPECT_THROW(session.allreduce(again), std::logic_error);
+    EXPECT_EQ(session.collectives_run(), 1u);
+  }
+}
+
+TEST(FaultTorture, BroadcastWithStragglersCompletesAndVerifies) {
+  Config cfg = Config::for_transport(Transport::kDpdk);
+  ClusterSpec cluster = ClusterSpec::dedicated(2);
+  cluster.faults.stragglers.mean_delay_ns = 5e3;
+  tensor::DenseTensor root(8192);
+  for (std::size_t i = 0; i < root.size(); i += 3) {
+    root[i] = 0.5f + static_cast<float>(i % 17);
+  }
+  std::vector<tensor::DenseTensor> outputs;
+  const RunStats stats = run_broadcast(root, 1, 3, outputs, cfg, cluster);
+  EXPECT_TRUE(stats.completed());
+  EXPECT_TRUE(stats.verified);
+  EXPECT_EQ(stats.worker_fault_stall_ns.size(), 3u);
+  ASSERT_EQ(outputs.size(), 3u);
+  for (const auto& out : outputs) EXPECT_TRUE(bit_equal(out, root));
 }
 
 TEST(FaultTorture, InvalidFaultSpecsAreRejected) {
@@ -374,25 +406,33 @@ TEST(FaultTorture, InvalidFaultSpecsAreRejected) {
   auto tensors = tensor::make_multi_worker(2, 4096, 256, 0.5,
                                            tensor::OverlapMode::kRandom, rng);
   Config cfg;
+  // One validator: every one-shot collective rejects the same specs.
+  const auto expect_rejected = [&](const ClusterSpec& cluster) {
+    EXPECT_THROW(run_allreduce(tensors, cfg, cluster, false),
+                 std::invalid_argument);
+    tensor::DenseTensor gathered;
+    EXPECT_THROW(run_allgather(tensors, gathered, cfg, cluster),
+                 std::invalid_argument);
+    std::vector<tensor::DenseTensor> outputs;
+    EXPECT_THROW(run_broadcast(tensors[0], 0, 2, outputs, cfg, cluster),
+                 std::invalid_argument);
+  };
   {
     ClusterSpec cluster = ClusterSpec::dedicated(1);
     cluster.faults.crashes.push_back({7, 0, 0});  // unknown worker
-    EXPECT_THROW(run_allreduce(tensors, cfg, cluster, false),
-                 std::invalid_argument);
+    expect_rejected(cluster);
   }
   {
     ClusterSpec cluster = ClusterSpec::dedicated(1);
     cluster.faults.link_flaps.push_back({0, false, 0, 1000});
     // Link flaps need a two-tier fabric to name a rack uplink.
-    EXPECT_THROW(run_allreduce(tensors, cfg, cluster, false),
-                 std::invalid_argument);
+    expect_rejected(cluster);
   }
   {
     ClusterSpec cluster = ClusterSpec::dedicated(1);
     cluster.faults.stragglers.mean_delay_ns = 1e3;
     cluster.faults.watchdog = 0;  // a faulted run must be time-bounded
-    EXPECT_THROW(run_allreduce(tensors, cfg, cluster, false),
-                 std::invalid_argument);
+    expect_rejected(cluster);
   }
 }
 
